@@ -93,7 +93,6 @@ pub struct Counters {
     per_node: Vec<AtomicU64>,
     total: AtomicU64,
     exhausted: Vec<AtomicBool>,
-    opened: Vec<AtomicBool>,
     /// How many [`Counted`] instances produce into each node. 1 in a
     /// serial plan; an `Exchange` running `n` partition copies of a
     /// subtree registers `n - 1` extra producers for every subtree node.
@@ -107,7 +106,6 @@ impl Counters {
             per_node: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
             total: AtomicU64::new(0),
             exhausted: (0..n_nodes).map(|_| AtomicBool::new(false)).collect(),
-            opened: (0..n_nodes).map(|_| AtomicBool::new(false)).collect(),
             producers: (0..n_nodes).map(|_| AtomicU64::new(1)).collect(),
         }
     }
@@ -135,12 +133,6 @@ impl Counters {
     #[inline]
     pub fn is_exhausted(&self, node: NodeId) -> bool {
         self.exhausted[node].load(Ordering::Relaxed)
-    }
-
-    /// Whether `node` has been opened.
-    #[inline]
-    pub fn is_opened(&self, node: NodeId) -> bool {
-        self.opened[node].load(Ordering::Relaxed)
     }
 
     /// Number of nodes.
@@ -243,16 +235,6 @@ pub struct RunControls {
     pub tuning: ExecTuning,
 }
 
-impl RunControls {
-    /// Controls carrying only a cancellation token.
-    pub fn with_cancel(cancel: CancelToken) -> RunControls {
-        RunControls {
-            cancel,
-            ..RunControls::default()
-        }
-    }
-}
-
 /// Performance knobs for one query run. Neither knob may change results,
 /// counters, or estimator readings — the parallel-equivalence suite runs
 /// the whole matrix of sizes against the serial row-at-a-time run and
@@ -340,13 +322,7 @@ pub struct ExecContext {
 impl ExecContext {
     /// Creates a context for a plan with `n_nodes` nodes.
     pub fn new(n_nodes: usize) -> Arc<ExecContext> {
-        ExecContext::with_cancel(n_nodes, CancelToken::new())
-    }
-
-    /// Creates a context wired to an externally-held cancellation token
-    /// (e.g. a session manager's per-query kill switch).
-    pub fn with_cancel(n_nodes: usize, cancel: CancelToken) -> Arc<ExecContext> {
-        ExecContext::with_controls(n_nodes, RunControls::with_cancel(cancel))
+        ExecContext::with_controls(n_nodes, RunControls::default())
     }
 
     /// Creates a context under full [`RunControls`].
@@ -454,11 +430,11 @@ impl ExecContext {
     /// morsel-local index `at_getnext / of`) and resets the fork's getnext
     /// clock to zero.
     ///
-    /// Called by morsel scan operators at every [`claim`]. Because the
-    /// derivation depends only on `(morsel, of)` — never on *which* worker
-    /// claimed — and each morsel is claimed exactly once, every fault
-    /// point fires in exactly one morsel at a replayable morsel-local
-    /// index, no matter how stealing interleaves.
+    /// Called by an exchange worker's scan leaf at every [`claim`].
+    /// Because the derivation depends only on `(morsel, of)` — never on
+    /// *which* worker claimed — and each morsel is claimed exactly once,
+    /// every fault point fires in exactly one morsel at a replayable
+    /// morsel-local index, no matter how stealing interleaves.
     ///
     /// [`claim`]: qp_storage::MorselDispenser::claim
     pub(crate) fn install_morsel_faults(&self, morsel: usize, of: usize) {
@@ -654,11 +630,6 @@ impl ExecContext {
         }
     }
 
-    fn record_open(&self, node: NodeId) {
-        self.counters.opened[node].store(true, Ordering::Relaxed);
-        self.emit(ExecEvent::Open(node));
-    }
-
     /// How many producing calls between observability mirror syncs
     /// (power of two: the cadence check is a single mask test on the
     /// count `record_row` just computed anyway).
@@ -742,11 +713,12 @@ pub trait Operator: Send {
     fn open(&mut self) -> ExecResult<()>;
     /// Produces the next row, or `None` when exhausted.
     fn next(&mut self) -> ExecResult<Option<Row>>;
-    /// Produces up to `max` rows into `out`, returning `false` exactly
+    /// Produces up to `max` rows into `out`, returning `false` only
     /// when the operator is exhausted (no row will ever follow). A `true`
-    /// return with *zero* rows appended is legal and means "call again" —
-    /// morsel scans use it at morsel boundaries so one batch never spans
-    /// two morsels (which would smear fault/steal attribution).
+    /// return with a short batch — even *zero* rows — is legal and means
+    /// "call again": scans end a batch at a morsel boundary so one batch
+    /// never spans two morsels (which would smear fault/steal
+    /// attribution).
     ///
     /// The default implementation loops [`Operator::next`], so every
     /// operator is batch-drivable; hot paths (scans, filter, project)
@@ -877,11 +849,6 @@ impl Counted {
             #[cfg(feature = "obs")]
             obs,
         }
-    }
-
-    /// The plan node this operator instantiates.
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// The execution context this wrapper runs under (an `Exchange`
@@ -1019,7 +986,7 @@ impl Operator for Counted {
         self.ctx.check_interrupts(self.node)?;
         self.begin_span();
         if self.counting {
-            self.ctx.record_open(self.node);
+            self.ctx.emit(ExecEvent::Open(self.node));
         }
         let result = self.inner.open();
         #[cfg(feature = "obs")]
@@ -1252,7 +1219,13 @@ mod tests {
     fn cancellation_before_open_blocks_the_query() {
         let token = CancelToken::new();
         token.cancel();
-        let ctx = ExecContext::with_cancel(1, token);
+        let ctx = ExecContext::with_controls(
+            1,
+            RunControls {
+                cancel: token,
+                ..RunControls::default()
+            },
+        );
         let mut op = Counted::new(emit(3), 0, Arc::clone(&ctx));
         assert_eq!(op.open(), Err(ExecError::Cancelled));
     }

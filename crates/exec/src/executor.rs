@@ -1,11 +1,11 @@
 //! Plan instantiation and the query driver.
 
-use crate::context::{CancelToken, Counted, ExecContext, Observer, Operator, RunControls};
+use crate::context::{Counted, ExecContext, Observer, Operator, RunControls};
 use crate::error::{ExecError, ExecResult};
 use crate::ops::{
     ExchangeOp, ExchangeWorker, FilterOp, HashAggregateOp, HashJoinOp, IndexNestedLoopsOp,
-    IndexRangeScanOp, LimitOp, MergeJoinOp, MorselIndexScanOp, MorselSeqScanOp, NestedLoopsOp,
-    ProjectOp, SeqScanOp, SharedSeqScanOp, SortOp, StreamAggregateOp, NO_MORSEL,
+    IndexRangeScanOp, LimitOp, MergeJoinOp, MorselFeed, NestedLoopsOp, ProjectOp, SeqScanOp,
+    SortOp, StreamAggregateOp, NO_MORSEL,
 };
 use crate::plan::{NodeId, Plan, PlanNode};
 use qp_storage::{Database, MorselDispenser, Row};
@@ -27,18 +27,12 @@ pub struct QueryRun {
 impl QueryRun {
     /// Instantiates the runtime operator tree for `plan` over `db`.
     pub fn new(plan: &Plan, db: &Database) -> ExecResult<QueryRun> {
-        QueryRun::with_cancel(plan, db, CancelToken::new())
+        QueryRun::with_controls(plan, db, RunControls::default())
     }
 
-    /// Like [`QueryRun::new`], but wires the query to an externally-held
-    /// [`CancelToken`] so another thread can abort it mid-flight.
-    pub fn with_cancel(plan: &Plan, db: &Database, cancel: CancelToken) -> ExecResult<QueryRun> {
-        QueryRun::with_controls(plan, db, RunControls::with_cancel(cancel))
-    }
-
-    /// Like [`QueryRun::new`], but under full [`RunControls`]: cancel
-    /// token, optional deadline, and optional deterministic fault plan —
-    /// the chaos-testing entry point.
+    /// Like [`QueryRun::new`], but under [`RunControls`]: an externally
+    /// held cancel token, optional deadline, optional deterministic fault
+    /// plan (the chaos-testing entry point), observability sinks.
     pub fn with_controls(
         plan: &Plan,
         db: &Database,
@@ -69,7 +63,7 @@ impl QueryRun {
             }
             None => (0, 0, 0),
         };
-        let root = build_node(plan, plan.root(), db, &ctx, &exchanges)?;
+        let root = build_node(plan, plan.root(), db, &ctx, &exchanges, None)?;
         Ok(QueryRun {
             ctx,
             root,
@@ -211,27 +205,27 @@ impl ExchangeLayout {
     }
 }
 
+/// Instantiates the operator for node `id` and, recursively, its inputs,
+/// every wrapper counting into `ctx`. `feed` is `Some` inside one exchange
+/// worker's copy of a subtree: `ctx` is then that worker's fork, and the
+/// subtree's scan leaf pulls morsels from the feed instead of owning its
+/// input.
 fn build_node(
     plan: &Plan,
     id: NodeId,
     db: &Database,
     ctx: &Arc<ExecContext>,
     exchanges: &ExchangeLayout,
+    feed: Option<&MorselFeed>,
 ) -> ExecResult<Counted> {
     let data = plan.node(id);
     let child = |i: usize| -> ExecResult<Counted> {
-        build_node(plan, data.children[i], db, ctx, exchanges)
+        build_node(plan, data.children[i], db, ctx, exchanges, feed)
     };
     let op: Box<dyn Operator> = match &data.kind {
-        // Serial full scans route through the shared-scan registry when
-        // the context carries one (row-for-row identical to a direct
-        // scan; see `SharedSeqScanOp`). Parallel plans use the morsel
-        // variants below instead — work stealing already amortizes the
-        // pass across that query's own workers.
-        PlanNode::SeqScan { table, .. } => match ctx.scan_share() {
-            Some(share) => Box::new(SharedSeqScanOp::new(db.table(table)?, Arc::clone(share))),
-            None => Box::new(SeqScanOp::new(db.table(table)?)),
-        },
+        PlanNode::SeqScan { table, .. } => {
+            Box::new(SeqScanOp::new(db.table(table)?, ctx, feed.cloned()))
+        }
         PlanNode::IndexRangeScan {
             table,
             index,
@@ -243,6 +237,8 @@ fn build_node(
             db.index(index)?,
             lo.clone(),
             hi.clone(),
+            ctx,
+            feed.cloned(),
         )),
         PlanNode::Filter { predicate } => Box::new(FilterOp::new(child(0)?, predicate.clone())),
         PlanNode::Project { exprs } => Box::new(ProjectOp::new(
@@ -339,7 +335,7 @@ fn build_node(
                 }
             }
             // One shared dispenser per exchange: workers steal morsels of
-            // the leaf's input from it instead of owning static ranges.
+            // the leaf's input from it.
             let dispenser = Arc::new(subtree_dispenser(plan, subtree_root, db, ctx)?);
             // This exchange's share of the fault schedule, shared by all
             // of its workers: points split per-*morsel* at claim time, so
@@ -348,12 +344,21 @@ fn build_node(
             let exchange_faults = ctx
                 .fault_proto()
                 .map(|f| Arc::new(f.for_partition(exchanges.ordinals[id], exchanges.total)));
+            // Each worker runs the same operator chain as the serial
+            // subtree, on its own fork, over the shared dispenser.
             let mut workers = Vec::with_capacity(n);
             for _ in 0..n {
                 let fork = ExecContext::fork(ctx, exchange_faults.clone());
-                let tag = Arc::new(AtomicUsize::new(NO_MORSEL));
-                let chain = build_partition(plan, subtree_root, db, &fork, &dispenser, &tag)?;
-                workers.push(ExchangeWorker { chain, tag });
+                let worker_feed = MorselFeed {
+                    dispenser: Arc::clone(&dispenser),
+                    tag: Arc::new(AtomicUsize::new(NO_MORSEL)),
+                };
+                let chain =
+                    build_node(plan, subtree_root, db, &fork, exchanges, Some(&worker_feed))?;
+                workers.push(ExchangeWorker {
+                    chain,
+                    tag: worker_feed.tag,
+                });
             }
             let op = ExchangeOp::new(workers, data.schema.clone(), ctx.tuning().batch_rows);
             return Ok(Counted::transparent(Box::new(op), id, Arc::clone(ctx)));
@@ -412,59 +417,4 @@ fn subtree_dispenser(
             }
         }
     }
-}
-
-/// Instantiates one worker chain for an Exchange subtree: the same
-/// operator chain as the serial subtree, with the leaf replaced by its
-/// morsel-stealing variant pulling from the exchange's shared `dispenser`
-/// and publishing claims through `tag`, every wrapper counting into
-/// `fork`'s shared per-node atomics.
-fn build_partition(
-    plan: &Plan,
-    id: NodeId,
-    db: &Database,
-    fork: &Arc<ExecContext>,
-    dispenser: &Arc<MorselDispenser>,
-    tag: &Arc<AtomicUsize>,
-) -> ExecResult<Counted> {
-    let data = plan.node(id);
-    let op: Box<dyn Operator> = match &data.kind {
-        PlanNode::SeqScan { table, .. } => Box::new(MorselSeqScanOp::new(
-            db.table(table)?,
-            Arc::clone(dispenser),
-            Arc::clone(fork),
-            Arc::clone(tag),
-        )),
-        PlanNode::IndexRangeScan {
-            table,
-            index,
-            lo,
-            hi,
-            ..
-        } => Box::new(MorselIndexScanOp::new(
-            db.table(table)?,
-            db.index(index)?,
-            lo.clone(),
-            hi.clone(),
-            Arc::clone(dispenser),
-            Arc::clone(fork),
-            Arc::clone(tag),
-        )),
-        PlanNode::Filter { predicate } => Box::new(FilterOp::new(
-            build_partition(plan, data.children[0], db, fork, dispenser, tag)?,
-            predicate.clone(),
-        )),
-        PlanNode::Project { exprs } => Box::new(ProjectOp::new(
-            build_partition(plan, data.children[0], db, fork, dispenser, tag)?,
-            exprs.iter().map(|(e, _)| e.clone()).collect(),
-            data.schema.clone(),
-        )),
-        other => {
-            return Err(ExecError::BadPlan(format!(
-                "Exchange subtree contains non-partitionable operator {}",
-                other.op_name()
-            )))
-        }
-    };
-    Ok(Counted::new(op, id, Arc::clone(fork)))
 }

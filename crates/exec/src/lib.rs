@@ -1,9 +1,12 @@
 //! # qp-exec — instrumented iterator-model query executor
 //!
-//! A single-threaded Volcano-style executor over [`qp_storage`] with the
-//! physical operator set of Section 2.1 of the paper: `scan`, `index-seek`
-//! (range scan), `σ` (filter), `π` (project), `⋈NL`, `⋈INL`, `⋈hash`,
-//! `⋈merge`, `sort`, and `γ` (group-by aggregation), plus `limit`.
+//! A Volcano-style executor over [`qp_storage`] with the physical operator
+//! set of Section 2.1 of the paper: `scan`, `index-seek` (range scan), `σ`
+//! (filter), `π` (project), `⋈NL`, `⋈INL`, `⋈hash`, `⋈merge`, `sort`, and
+//! `γ` (group-by aggregation), plus `limit`. Plans run serially unless
+//! [`parallelize`] puts scan chains behind an `Exchange`, whose workers run
+//! the *same* operators over morsels of the leaf's input; either way the
+//! getnext accounting below is byte-identical.
 //!
 //! ## The GetNext model of work
 //!

@@ -4,14 +4,13 @@
 //! An `ExchangeOp` owns `n` *worker* copies of a scan chain, each a
 //! [`Counted`] tree over a forked execution context that shares the
 //! query's counters and observer, with the leaf pulling fixed-size morsels
-//! from a shared [`qp_storage::MorselDispenser`] — dynamic work stealing
-//! instead of the static range split of PR 5, so skewed per-row cost no
-//! longer turns one worker into the critical path. `open` runs every
-//! worker to exhaustion on its own scoped thread (each under
-//! `catch_unwind`, so one worker's panic cannot strand its siblings),
-//! collects each worker's output as *segments* tagged with the morsel
-//! index they came from, and merges all segments in morsel-index order;
-//! `next`/`next_batch` then drain the merged buffer.
+//! from a shared [`qp_storage::MorselDispenser`] — dynamic work stealing,
+//! so skewed per-row cost does not turn one worker into the critical
+//! path. `open` runs every worker to exhaustion on its own scoped thread
+//! (each under `catch_unwind`, so one worker's panic cannot strand its
+//! siblings), collects each worker's output as *segments* tagged with the
+//! morsel index they came from, and merges all segments in morsel-index
+//! order; `next`/`next_batch` then drain the merged buffer.
 //!
 //! Because morsels are contiguous, ordered, and covering — and every
 //! morsel's rows land in exactly one segment — the merged stream is
@@ -42,7 +41,7 @@ use std::sync::Arc;
 /// worker fails identically or none do.
 pub(crate) const NO_MORSEL: usize = usize::MAX;
 
-/// One worker: its operator chain and the tag cell its morsel scan leaf
+/// One worker: its operator chain and the tag cell its scan leaf
 /// publishes claimed morsel indices through.
 pub(crate) struct ExchangeWorker {
     pub chain: Counted,

@@ -19,5 +19,6 @@ pub use filter::{FilterOp, LimitOp, ProjectOp};
 pub use join_hash::HashJoinOp;
 pub use join_merge::MergeJoinOp;
 pub use join_nl::{IndexNestedLoopsOp, NestedLoopsOp};
-pub use scan::{IndexRangeScanOp, MorselIndexScanOp, MorselSeqScanOp, SeqScanOp, SharedSeqScanOp};
+pub(crate) use scan::MorselFeed;
+pub use scan::{IndexRangeScanOp, SeqScanOp};
 pub use sort::SortOp;

@@ -1,132 +1,198 @@
-//! Leaf operators: sequential heap scan and B+Tree range scan, plus their
-//! morsel-consuming variants for work-stealing parallel scans.
+//! Leaf operators: sequential scan and B+Tree range scan.
+//!
+//! Both pull input *positions* from a [`MorselDispenser`] through a
+//! [`MorselCursor`]. A serial scan is the one-worker case: it owns a
+//! whole-input dispenser and rebuilds it at every `open`. A parallel scan
+//! is the same operator handed an exchange's [`MorselFeed`], stealing
+//! morsels from the dispenser its sibling workers share.
 
 use crate::context::{ExecContext, Operator};
 use crate::error::ExecResult;
 use qp_storage::{
     IndexMeta, MorselDispenser, Row, RowId, ScanShare, Schema, SharedCursor, Table, Value,
 };
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Full scan of a heap table in insertion order — the order the paper's
-/// input-order analysis (Section 4.2) is about. A *partition* scan (see
-/// [`SeqScanOp::with_range`]) covers one contiguous row-id range instead;
-/// concatenating the partitions of a [`Table::partition_ranges`] split in
-/// order reproduces the full scan exactly.
-pub struct SeqScanOp {
-    table: Arc<Table>,
-    start: usize,
-    end: usize,
-    pos: usize,
+/// One exchange worker's handle on its exchange: the dispenser all sibling
+/// workers steal from, and the cell through which this worker's leaf
+/// publishes the index of each morsel it claims (the exchange reads it to
+/// attribute produced batches for the order-restoring merge).
+#[derive(Clone)]
+pub(crate) struct MorselFeed {
+    pub dispenser: Arc<MorselDispenser>,
+    pub tag: Arc<AtomicUsize>,
 }
 
-impl SeqScanOp {
-    pub fn new(table: Arc<Table>) -> SeqScanOp {
-        let end = table.len();
-        SeqScanOp {
-            table,
-            start: 0,
-            end,
+/// A scan's window onto its input positions: the current claim, and who
+/// hands out the next one.
+struct MorselCursor {
+    dispenser: Arc<MorselDispenser>,
+    /// Exchange workers only: the tag cell and the forked context whose
+    /// fault schedule is re-derived per claimed morsel. A serial scan has
+    /// neither — it owns `dispenser` outright.
+    worker: Option<(Arc<AtomicUsize>, Arc<ExecContext>)>,
+    /// Next / one-past-last input position of the current morsel
+    /// (`pos == end` ⇒ claim before producing).
+    pos: usize,
+    end: usize,
+}
+
+impl MorselCursor {
+    fn new(ctx: &Arc<ExecContext>, feed: Option<MorselFeed>) -> MorselCursor {
+        let (dispenser, worker) = match feed {
+            Some(feed) => (feed.dispenser, Some((feed.tag, Arc::clone(ctx)))),
+            None => (Arc::new(MorselDispenser::new(0, 0)), None),
+        };
+        MorselCursor {
+            dispenser,
+            worker,
             pos: 0,
+            end: 0,
         }
     }
 
-    /// A scan restricted to heap positions `[start, end)`.
-    pub fn with_range(table: Arc<Table>, start: usize, end: usize) -> SeqScanOp {
-        debug_assert!(start <= end && end <= table.len());
+    /// `open` over `len` input positions. A serial scan starts over on a
+    /// fresh whole-input dispenser, which is what makes it re-openable; a
+    /// worker binds the shared dispenser (first bind wins, the rest
+    /// validate) and never rewinds it — an exchange opens exactly once.
+    fn rewind(&mut self, len: usize) {
+        match self.worker {
+            None => self.dispenser = Arc::new(MorselDispenser::new(len, 0)),
+            Some(_) => self.dispenser.bind(len),
+        }
+        self.pos = 0;
+        self.end = 0;
+    }
+
+    /// Claims the next morsel; a worker also publishes its index as the
+    /// tag and installs its derived fault schedule into the fork. Returns
+    /// `false` when the input is exhausted.
+    fn claim(&mut self) -> bool {
+        let Some(m) = self.dispenser.claim() else {
+            return false;
+        };
+        if let Some((tag, ctx)) = &self.worker {
+            // The tag is read by this worker's own drive loop between
+            // batches (same thread), so Relaxed suffices.
+            tag.store(m.index, Ordering::Relaxed);
+            ctx.install_morsel_faults(m.index, self.dispenser.morsel_count());
+        }
+        self.pos = m.start;
+        self.end = m.end;
+        true
+    }
+
+    /// The next input position, claiming as needed; `None` at the end.
+    #[inline]
+    fn next_pos(&mut self) -> Option<usize> {
+        while self.pos >= self.end {
+            if !self.claim() {
+                return None;
+            }
+        }
+        self.pos += 1;
+        Some(self.pos - 1)
+    }
+
+    /// Up to `max` consecutive positions, `None` at the end. At most one
+    /// claim per call and a run never crosses a morsel boundary, so the
+    /// exchange re-reads the tag between any two morsels' rows.
+    fn next_run(&mut self, max: usize) -> Option<Range<usize>> {
+        if self.pos >= self.end && !self.claim() {
+            return None;
+        }
+        let run = self.pos..self.pos + max.min(self.end - self.pos);
+        self.pos = run.end;
+        Some(run)
+    }
+}
+
+/// Where a sequential scan fetches the row at a position from.
+enum RowSource {
+    /// [`Table::row`]: a heap index or a buffer-pool read.
+    Table,
+    /// The table's in-flight [`ScanShare`] epoch (started if none is):
+    /// the same rows in the same order with the same getnext counts, but
+    /// N concurrent scans of one table cost ~1 physical pass. The cursor
+    /// replays from row 0 in order — exactly the positions a serial scan's
+    /// single whole-input morsel walks, so the two advance in lockstep.
+    Shared {
+        share: Arc<ScanShare>,
+        /// Attached at `open`, not at build — a plan node that never opens
+        /// must not hold an epoch alive — and detached at `close`.
+        cursor: Option<SharedCursor>,
+    },
+}
+
+/// Scan of a table in insertion order — the order the paper's input-order
+/// analysis (Section 4.2) is about. Under an exchange, rows come out in
+/// input order *within* each claimed morsel and the exchange restores the
+/// global order by merging in morsel-index order, so the parallel result
+/// stays byte-identical to the serial one.
+pub struct SeqScanOp {
+    table: Arc<Table>,
+    source: RowSource,
+    cursor: MorselCursor,
+}
+
+impl SeqScanOp {
+    pub(crate) fn new(
+        table: Arc<Table>,
+        ctx: &Arc<ExecContext>,
+        feed: Option<MorselFeed>,
+    ) -> SeqScanOp {
+        // Only a serial scan replays a shared epoch: workers steal
+        // morsels out of order, and work stealing already amortizes the
+        // pass across that query's own workers.
+        let source = match (ctx.scan_share(), &feed) {
+            (Some(share), None) => RowSource::Shared {
+                share: Arc::clone(share),
+                cursor: None,
+            },
+            _ => RowSource::Table,
+        };
         SeqScanOp {
             table,
-            start,
-            end,
-            pos: start,
+            source,
+            cursor: MorselCursor::new(ctx, feed),
         }
     }
 }
 
 impl Operator for SeqScanOp {
     fn open(&mut self) -> ExecResult<()> {
-        self.pos = self.start;
+        if let RowSource::Shared { share, cursor } = &mut self.source {
+            cursor
+                .get_or_insert_with(|| share.attach(&self.table))
+                .reset();
+        }
+        self.cursor.rewind(self.table.len());
         Ok(())
     }
 
     fn next(&mut self) -> ExecResult<Option<Row>> {
-        if self.pos < self.end {
-            let row = self.table.row(self.pos as RowId);
-            self.pos += 1;
-            Ok(Some(row))
-        } else {
-            Ok(None)
-        }
+        let Some(pos) = self.cursor.next_pos() else {
+            return Ok(None);
+        };
+        Ok(match &mut self.source {
+            RowSource::Table => Some(self.table.row(pos as RowId)),
+            RowSource::Shared { cursor, .. } => cursor.as_mut().and_then(Iterator::next),
+        })
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Vec<Row>) -> ExecResult<bool> {
-        if self.pos >= self.end {
+        let Some(run) = self.cursor.next_run(max) else {
             return Ok(false);
-        }
-        let take = max.min(self.end - self.pos);
-        out.reserve(take);
-        for rid in self.pos..self.pos + take {
-            out.push(self.table.row(rid as RowId));
-        }
-        self.pos += take;
-        Ok(self.pos < self.end)
-    }
-
-    fn close(&mut self) {}
-
-    fn schema(&self) -> &Schema {
-        self.table.schema()
-    }
-}
-
-/// Full heap scan through a [`ScanShare`] registry: attaches to the
-/// table's in-flight shared-scan epoch (or starts one) and replays the
-/// insertion-order row sequence from its own cursor. Row-for-row
-/// equivalent to [`SeqScanOp`] — same rows, same order, same getnext
-/// counts — but N concurrent scans of one table cost ~1 physical pass.
-pub struct SharedSeqScanOp {
-    table: Arc<Table>,
-    share: Arc<ScanShare>,
-    cursor: Option<SharedCursor>,
-}
-
-impl SharedSeqScanOp {
-    pub fn new(table: Arc<Table>, share: Arc<ScanShare>) -> SharedSeqScanOp {
-        SharedSeqScanOp {
-            table,
-            share,
-            cursor: None,
-        }
-    }
-
-    fn cursor(&mut self) -> &mut SharedCursor {
-        // Attach lazily at first pull, not at build: a plan node that
-        // never opens (short-circuited pipeline) must not hold an epoch
-        // alive, and `open` semantics want a rewind either way.
-        self.cursor
-            .get_or_insert_with(|| self.share.attach(&self.table))
-    }
-}
-
-impl Operator for SharedSeqScanOp {
-    fn open(&mut self) -> ExecResult<()> {
-        self.cursor().reset();
-        Ok(())
-    }
-
-    fn next(&mut self) -> ExecResult<Option<Row>> {
-        Ok(self.cursor().next())
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Vec<Row>) -> ExecResult<bool> {
-        let cursor = self.cursor();
-        out.reserve(max.min(cursor.len()));
-        for _ in 0..max {
-            match cursor.next() {
-                Some(row) => out.push(row),
-                None => return Ok(false),
+        };
+        out.reserve(run.len());
+        match &mut self.source {
+            RowSource::Table => out.extend(run.map(|pos| self.table.row(pos as RowId))),
+            RowSource::Shared { cursor, .. } => {
+                if let Some(cursor) = cursor {
+                    out.extend(cursor.by_ref().take(run.len()));
+                }
             }
         }
         Ok(true)
@@ -135,7 +201,9 @@ impl Operator for SharedSeqScanOp {
     fn close(&mut self) {
         // Detach promptly: a finished scan must not pin the epoch (and
         // its row cache) until the operator tree drops.
-        self.cursor = None;
+        if let RowSource::Shared { cursor, .. } = &mut self.source {
+            *cursor = None;
+        }
     }
 
     fn schema(&self) -> &Schema {
@@ -145,45 +213,35 @@ impl Operator for SharedSeqScanOp {
 
 /// Range scan over a B+Tree index (`index-seek`). Matching row ids are
 /// collected at `open` (the tree iterator borrows the index, and operators
-/// are long-lived), then rows are fetched lazily per `next`.
+/// are long-lived), then rows are fetched lazily by position in that list.
+/// Under an exchange every worker walks the same immutable range, so all
+/// bind the shared dispenser to the same length.
 pub struct IndexRangeScanOp {
     table: Arc<Table>,
     index: Arc<IndexMeta>,
     lo: Bound<Vec<Value>>,
     hi: Bound<Vec<Value>>,
-    /// `(p, n)`: keep only the `p`-th of `n` balanced contiguous slices of
-    /// the matching rid list. `(0, 1)` is the full scan.
-    partition: (usize, usize),
     rids: Vec<RowId>,
-    pos: usize,
+    cursor: MorselCursor,
 }
 
 impl IndexRangeScanOp {
-    pub fn new(
+    pub(crate) fn new(
         table: Arc<Table>,
         index: Arc<IndexMeta>,
         lo: Bound<Vec<Value>>,
         hi: Bound<Vec<Value>>,
+        ctx: &Arc<ExecContext>,
+        feed: Option<MorselFeed>,
     ) -> IndexRangeScanOp {
         IndexRangeScanOp {
             table,
             index,
             lo,
             hi,
-            partition: (0, 1),
             rids: Vec::new(),
-            pos: 0,
+            cursor: MorselCursor::new(ctx, feed),
         }
-    }
-
-    /// Restricts the scan to partition `p` of `n`: the matching rids are
-    /// collected in index order as usual, then sliced into `n` balanced
-    /// contiguous runs (first `len % n` runs one longer). Concatenating
-    /// partitions `0..n` in order reproduces the serial scan exactly.
-    pub fn with_partition(mut self, p: usize, n: usize) -> IndexRangeScanOp {
-        debug_assert!(n > 0 && p < n);
-        self.partition = (p, n.max(1));
-        self
     }
 }
 
@@ -200,248 +258,23 @@ impl Operator for IndexRangeScanOp {
             .range(lo, self.hi.clone())
             .map(|(_, rid)| rid)
             .collect();
-        let (p, n) = self.partition;
-        if n > 1 {
-            let len = self.rids.len();
-            let (base, extra) = (len / n, len % n);
-            let start = p * base + p.min(extra);
-            let end = start + base + usize::from(p < extra);
-            self.rids = self.rids[start..end].to_vec();
-        }
-        self.pos = 0;
+        self.cursor.rewind(self.rids.len());
         Ok(())
     }
 
     fn next(&mut self) -> ExecResult<Option<Row>> {
-        if self.pos < self.rids.len() {
-            let row = self.table.row(self.rids[self.pos]);
-            self.pos += 1;
-            Ok(Some(row))
-        } else {
-            Ok(None)
-        }
+        Ok(self
+            .cursor
+            .next_pos()
+            .map(|pos| self.table.row(self.rids[pos])))
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Vec<Row>) -> ExecResult<bool> {
-        if self.pos >= self.rids.len() {
+        let Some(run) = self.cursor.next_run(max) else {
             return Ok(false);
-        }
-        let take = max.min(self.rids.len() - self.pos);
-        out.reserve(take);
-        for &rid in &self.rids[self.pos..self.pos + take] {
-            out.push(self.table.row(rid));
-        }
-        self.pos += take;
-        Ok(self.pos < self.rids.len())
-    }
-
-    fn close(&mut self) {
-        self.rids = Vec::new();
-    }
-
-    fn schema(&self) -> &Schema {
-        self.table.schema()
-    }
-}
-
-/// Shared per-worker morsel state: the current claim's position window and
-/// the worker's *tag* — the morsel index the downstream exchange reads to
-/// attribute produced batches for order-restoring merge.
-struct MorselCursor {
-    dispenser: Arc<MorselDispenser>,
-    ctx: Arc<ExecContext>,
-    tag: Arc<AtomicUsize>,
-    /// Next / one-past-last input position of the current morsel
-    /// (`pos == end` ⇒ claim before producing).
-    pos: usize,
-    end: usize,
-}
-
-impl MorselCursor {
-    fn new(
-        dispenser: Arc<MorselDispenser>,
-        ctx: Arc<ExecContext>,
-        tag: Arc<AtomicUsize>,
-    ) -> MorselCursor {
-        MorselCursor {
-            dispenser,
-            ctx,
-            tag,
-            pos: 0,
-            end: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.pos = 0;
-        self.end = 0;
-    }
-
-    /// Claims the next morsel: publishes its index as this worker's tag
-    /// and installs its derived fault schedule into the worker's context.
-    /// Returns `false` when the shared input is exhausted.
-    fn claim(&mut self) -> bool {
-        match self.dispenser.claim() {
-            Some(m) => {
-                // The tag is read by this worker's own drive loop between
-                // batches (same thread), so Relaxed suffices.
-                self.tag.store(m.index, Ordering::Relaxed);
-                self.ctx
-                    .install_morsel_faults(m.index, self.dispenser.morsel_count());
-                self.pos = m.start;
-                self.end = m.end;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// Work-stealing heap scan: one of several workers pulling fixed-size
-/// [`qp_storage::Morsel`]s of a shared table from a shared
-/// [`MorselDispenser`]. Rows come out in input order *within* each
-/// claimed morsel; the downstream exchange restores the global serial
-/// order by merging batches in morsel-index order (tags are published per
-/// claim), so the parallel result stays byte-identical to [`SeqScanOp`].
-pub struct MorselSeqScanOp {
-    table: Arc<Table>,
-    cursor: MorselCursor,
-}
-
-impl MorselSeqScanOp {
-    pub(crate) fn new(
-        table: Arc<Table>,
-        dispenser: Arc<MorselDispenser>,
-        ctx: Arc<ExecContext>,
-        tag: Arc<AtomicUsize>,
-    ) -> MorselSeqScanOp {
-        MorselSeqScanOp {
-            table,
-            cursor: MorselCursor::new(dispenser, ctx, tag),
-        }
-    }
-}
-
-impl Operator for MorselSeqScanOp {
-    fn open(&mut self) -> ExecResult<()> {
-        self.cursor.reset();
-        Ok(())
-    }
-
-    fn next(&mut self) -> ExecResult<Option<Row>> {
-        loop {
-            if self.cursor.pos < self.cursor.end {
-                let row = self.table.row(self.cursor.pos as RowId);
-                self.cursor.pos += 1;
-                return Ok(Some(row));
-            }
-            if !self.cursor.claim() {
-                return Ok(None);
-            }
-        }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Vec<Row>) -> ExecResult<bool> {
-        // At most one claim per call, and a batch never crosses a morsel
-        // boundary: a fully-consumed morsel yields `Ok(true)` with no
-        // rows so the caller re-tags before the next batch.
-        if self.cursor.pos >= self.cursor.end && !self.cursor.claim() {
-            return Ok(false);
-        }
-        let take = max.min(self.cursor.end - self.cursor.pos);
-        out.reserve(take);
-        for rid in self.cursor.pos..self.cursor.pos + take {
-            out.push(self.table.row(rid as RowId));
-        }
-        self.cursor.pos += take;
-        Ok(true)
-    }
-
-    fn close(&mut self) {}
-
-    fn schema(&self) -> &Schema {
-        self.table.schema()
-    }
-}
-
-/// Work-stealing index range scan: every worker walks the B+Tree range at
-/// `open` (identical immutable input ⇒ identical rid list), binds the
-/// shared dispenser to the list's length — first bind wins, the rest
-/// validate — then pulls morsels of the rid list exactly like
-/// [`MorselSeqScanOp`] pulls morsels of the heap.
-pub struct MorselIndexScanOp {
-    table: Arc<Table>,
-    index: Arc<IndexMeta>,
-    lo: Bound<Vec<Value>>,
-    hi: Bound<Vec<Value>>,
-    rids: Vec<RowId>,
-    cursor: MorselCursor,
-}
-
-impl MorselIndexScanOp {
-    pub(crate) fn new(
-        table: Arc<Table>,
-        index: Arc<IndexMeta>,
-        lo: Bound<Vec<Value>>,
-        hi: Bound<Vec<Value>>,
-        dispenser: Arc<MorselDispenser>,
-        ctx: Arc<ExecContext>,
-        tag: Arc<AtomicUsize>,
-    ) -> MorselIndexScanOp {
-        MorselIndexScanOp {
-            table,
-            index,
-            lo,
-            hi,
-            rids: Vec::new(),
-            cursor: MorselCursor::new(dispenser, ctx, tag),
-        }
-    }
-}
-
-impl Operator for MorselIndexScanOp {
-    fn open(&mut self) -> ExecResult<()> {
-        let lo = match &self.lo {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(k) => Bound::Included(k.as_slice()),
-            Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
         };
-        self.rids = self
-            .index
-            .tree
-            .range(lo, self.hi.clone())
-            .map(|(_, rid)| rid)
-            .collect();
-        self.cursor.dispenser.bind(self.rids.len());
-        self.cursor.reset();
-        Ok(())
-    }
-
-    fn next(&mut self) -> ExecResult<Option<Row>> {
-        loop {
-            if self.cursor.pos < self.cursor.end {
-                let row = self.table.row(self.rids[self.cursor.pos]);
-                self.cursor.pos += 1;
-                return Ok(Some(row));
-            }
-            if !self.cursor.claim() {
-                return Ok(None);
-            }
-        }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Vec<Row>) -> ExecResult<bool> {
-        // See `MorselSeqScanOp::next_batch`: one claim per call, batches
-        // never cross morsel boundaries.
-        if self.cursor.pos >= self.cursor.end && !self.cursor.claim() {
-            return Ok(false);
-        }
-        let take = max.min(self.cursor.end - self.cursor.pos);
-        out.reserve(take);
-        for &rid in &self.rids[self.cursor.pos..self.cursor.pos + take] {
-            out.push(self.table.row(rid));
-        }
-        self.cursor.pos += take;
+        out.reserve(run.len());
+        out.extend(self.rids[run].iter().map(|&rid| self.table.row(rid)));
         Ok(true)
     }
 

@@ -18,7 +18,7 @@
 
 use crate::error::{ExecError, ExecResult};
 use crate::expr::{AggExpr, Expr};
-use qp_storage::{ColumnType, Database, Schema, Value};
+use qp_storage::{Database, Schema, Value};
 use std::fmt;
 use std::ops::Bound;
 
@@ -238,23 +238,6 @@ impl Plan {
             })
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Sum of scanned-leaf base cardinalities — the denominator of μ. For
-    /// range scans the *scanned* row count is the range size, which is only
-    /// known exactly post-hoc; this uses the base-table cardinality for
-    /// `SeqScan` and leaves range-scan leaves to their runtime counts.
-    pub fn scanned_leaf_card_lower_bound(&self) -> u64 {
-        self.scanned_leaves()
-            .iter()
-            .map(|&id| match &self.nodes[id].kind {
-                PlanNode::SeqScan { card, .. } => *card,
-                // Without histogram refinement the only a-priori lower
-                // bound on a range scan's size is zero.
-                PlanNode::IndexRangeScan { .. } => 0,
-                _ => unreachable!("scanned_leaves returns only leaves"),
-            })
-            .sum()
     }
 
     /// Number of internal (non-leaf) nodes — `m` in Property 6. Exchange
@@ -773,17 +756,6 @@ impl PlanBuilder {
     }
 }
 
-/// Convenience: the output column type a [`Value`] literal would have.
-pub fn literal_type(v: &Value) -> ColumnType {
-    match v {
-        Value::Bool(_) => ColumnType::Bool,
-        Value::Int(_) | Value::Null => ColumnType::Int,
-        Value::Float(_) => ColumnType::Float,
-        Value::Str(_) => ColumnType::Str,
-        Value::Date(_) => ColumnType::Date,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,7 +838,6 @@ mod tests {
             .unwrap()
             .build();
         assert_eq!(plan.scanned_leaves(), vec![0]);
-        assert_eq!(plan.scanned_leaf_card_lower_bound(), 100);
         assert!(!plan.is_scan_based());
     }
 

@@ -2,10 +2,13 @@
 //! keys, NULL-only columns — the corners a progress estimator's bound
 //! refinements must survive without ever observing a malformed count.
 
+use qp_exec::executor::QueryRun;
 use qp_exec::expr::{AggExpr, CmpOp, Expr};
 use qp_exec::plan::{JoinType, Plan, PlanBuilder};
-use qp_exec::run_query;
-use qp_storage::{ColumnType, Database, Schema, Value};
+use qp_exec::{run_query, RunControls};
+use qp_storage::{ColumnType, Database, ScanShare, Schema, Value};
+use std::ops::Bound;
+use std::sync::Arc;
 
 fn empty_db() -> Database {
     let mut db = Database::new();
@@ -256,16 +259,42 @@ fn single_row_table_through_every_unary_operator() {
 
 #[test]
 fn rerunning_the_same_query_run_is_idempotent() {
-    // open() must fully reset operator state.
+    // open() must fully reset operator state — whichever row source the
+    // leaf reads: the heap directly, a shared-scan cursor, an index's rids.
     let db = empty_db();
-    let plan = PlanBuilder::scan(&db, "t")
-        .unwrap()
-        .sort(vec![(0, false)])
-        .limit(3)
-        .build();
-    let mut run = qp_exec::executor::QueryRun::new(&plan, &db).unwrap();
-    let first = run.run().unwrap();
-    let second = run.run().unwrap();
-    assert_eq!(first, second);
-    assert_eq!(first.len(), 3);
+    let top3 = |b: PlanBuilder| b.sort(vec![(0, false)]).limit(3).build();
+    let heap = top3(PlanBuilder::scan(&db, "t").unwrap());
+    let index = top3(
+        PlanBuilder::index_range_scan(
+            &db,
+            "t",
+            "t_a",
+            Bound::Included(vec![Value::Int(2)]),
+            Bound::Unbounded,
+        )
+        .unwrap(),
+    );
+    let shared = RunControls {
+        scan_share: Some(Arc::new(ScanShare::new())),
+        ..RunControls::default()
+    };
+    for (plan, controls) in [
+        (&heap, RunControls::default()),
+        (&heap, shared),
+        (&index, RunControls::default()),
+    ] {
+        let mut run = QueryRun::with_controls(plan, &db, controls).unwrap();
+        let first = run.run().unwrap();
+        let counters = run.context().counters();
+        let (node_counts, total) = (counters.snapshot(), counters.total());
+        let second = run.run().unwrap();
+        assert_eq!(first, second);
+        assert_eq!(first.len(), 3);
+        // Counters accumulate over a QueryRun's lifetime, so an identical
+        // second pass lands every one of them at exactly double.
+        let counters = run.context().counters();
+        let doubled: Vec<u64> = node_counts.iter().map(|c| c * 2).collect();
+        assert_eq!(counters.snapshot(), doubled);
+        assert_eq!(counters.total(), total * 2);
+    }
 }

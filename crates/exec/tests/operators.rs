@@ -2,11 +2,14 @@
 //! under the paper's model of work (each node's count = rows it produced;
 //! `total(Q)` = sum over nodes).
 
+use qp_exec::executor::QueryRun;
 use qp_exec::expr::{AggExpr, ArithOp, CmpOp, Expr};
 use qp_exec::plan::{JoinType, PlanBuilder};
-use qp_exec::{run_query, QueryOutput};
-use qp_storage::{ColumnType, Database, Row, Schema, Value};
+use qp_exec::{run_query, QueryOutput, RunControls};
+use qp_storage::{ColumnType, Database, Row, ScanShare, Schema, Value};
 use std::ops::Bound;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 fn run(plan: &qp_exec::Plan, db: &Database) -> QueryOutput {
     run_query(plan, db, None).expect("query runs").0
@@ -139,6 +142,35 @@ fn hash_join_inner_matches_nested_loops_reference() {
     assert_eq!(out.rows[0].arity(), 4);
     // scan t 40 + scan u 20 + join 20.
     assert_eq!(out.total_getnext, 80);
+}
+
+#[test]
+fn shared_scan_source_is_identical_to_direct() {
+    // t spans several shared-scan chunks, so the replay crosses chunk
+    // boundaries; a in {3, 13, 23, 33, 43} survives the filter and joins.
+    let db = test_db(3000, 50);
+    let probe = PlanBuilder::scan(&db, "u").unwrap();
+    let plan = PlanBuilder::scan(&db, "t")
+        .unwrap()
+        .filter(Expr::col_eq(1, 3i64))
+        .hash_join(probe, vec![0], vec![0], JoinType::Inner, true)
+        .unwrap()
+        .build();
+    let direct = run(&plan, &db);
+    assert_eq!(direct.rows.len(), 5);
+
+    let share = Arc::new(ScanShare::new());
+    let controls = RunControls {
+        scan_share: Some(Arc::clone(&share)),
+        ..RunControls::default()
+    };
+    let mut shared = QueryRun::with_controls(&plan, &db, controls).unwrap();
+    assert_eq!(shared.run().unwrap(), direct.rows);
+    let counters = shared.context().counters();
+    assert_eq!(counters.snapshot(), direct.node_counts);
+    assert_eq!(counters.total(), direct.total_getnext);
+    // Both leaves really went through the registry.
+    assert_eq!(share.stats().attaches.load(Ordering::Relaxed), 2);
 }
 
 #[test]

@@ -536,10 +536,15 @@ impl QueryService {
     /// A point-in-time status report, or `None` for an unknown id.
     pub fn status(&self, id: QueryId) -> Option<StatusReport> {
         let session = self.session(id)?;
+        // State first: a transition publishes state, result and error
+        // under one lock, so whatever a terminal state promises is there
+        // to read afterwards. Read the other way round, a finish landing
+        // in between yields FINISHED without rows or total(Q).
+        let state = session.state();
         let result = session.result();
         Some(StatusReport {
             id,
-            state: session.state(),
+            state,
             health: session.progress_cell().health(),
             trust: session.progress_cell().trust(),
             estimators: session.progress_cell().names().to_vec(),

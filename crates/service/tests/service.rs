@@ -578,3 +578,37 @@ fn morsel_size_field_round_trips_and_stays_results_neutral() {
 
     server.shutdown();
 }
+
+#[test]
+fn a_finished_status_always_carries_its_result() {
+    // `status` assembles its report in several reads while a worker may
+    // be finishing the session. Whatever the interleaving, a report that
+    // says FINISHED must come with rows and total(Q) — pollers stop at
+    // the first terminal report. Polling back to back over many short
+    // queries puts a read on both sides of many finishes.
+    let service = QueryService::new(
+        tpch(0.001),
+        ServiceConfig {
+            workers: 1,
+            queue_depth: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    for _ in 0..400 {
+        let id = service
+            .submit("SELECT COUNT(*) AS n FROM nation")
+            .expect("admitted");
+        loop {
+            let st = service.status(id).expect("known id");
+            if st.state == QueryState::Finished {
+                assert!(
+                    st.rows.is_some() && st.total_getnext.is_some(),
+                    "{id}: FINISHED without its result"
+                );
+                break;
+            }
+            assert!(!st.state.is_terminal(), "{id}: ended {}", st.state);
+        }
+    }
+    service.shutdown();
+}

@@ -1,19 +1,18 @@
-//! Morsel-at-a-time work distribution for parallel scans.
+//! Morsel-at-a-time work distribution: the one way a scan is handed its
+//! input positions, serial or parallel.
 //!
-//! Static range partitioning (see [`Table::partition_ranges`]) assigns each
-//! worker a fixed slice of the heap up front. That is the simplest scheme
-//! that keeps parallel results byte-identical to a serial scan, but it
-//! collapses under skewed per-row cost: with Zipf-distributed work the
-//! worker that drew the hot ranks becomes the critical path while its
-//! siblings idle (the paper's Section 7 "uniformity of work" caveat, made
-//! concrete in `BENCH_parallel.json`'s cpu-bound rows).
-//!
-//! The fix, due to the HyPer morsel-driven scheduler (Leis et al., SIGMOD
-//! 2014), is to hand out work in small fixed-size *morsels* from a shared
-//! dispenser: a worker that finishes early simply claims the next morsel —
-//! work stealing without queues, just one atomic cursor. Two properties of
-//! this dispenser carry the whole serial-equivalence argument upstream in
-//! `qp-exec`:
+//! Giving each worker a fixed slice of the input up front collapses under
+//! skewed per-row cost: with Zipf-distributed work the worker that drew
+//! the hot ranks becomes the critical path while its siblings idle (the
+//! paper's Section 7 "uniformity of work" caveat, made concrete in
+//! `BENCH_parallel.json`'s cpu-bound rows). So, after the HyPer
+//! morsel-driven scheduler (Leis et al., SIGMOD 2014), work is handed out
+//! in small fixed-size *morsels* from a shared dispenser: a worker that
+//! finishes early simply claims the next morsel — work stealing without
+//! queues, just one atomic cursor. A serial scan is the one-worker case:
+//! its own dispenser over a single whole-input morsel (`size = 0`). Two
+//! properties of this dispenser carry the whole serial-equivalence
+//! argument upstream in `qp-exec`:
 //!
 //! 1. **Exactly-once, covering claims.** Every row position in `[0, len)`
 //!    belongs to exactly one morsel, and each morsel is claimed by exactly
@@ -28,7 +27,6 @@
 //! operators in `qp-exec` turn a claimed [`Morsel`] into reads against a
 //! [`Table`] heap slice or a slice of an index's row-id list.
 //!
-//! [`Table::partition_ranges`]: crate::table::Table::partition_ranges
 //! [`Table`]: crate::table::Table
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,7 +85,7 @@ impl Morsel {
 pub struct MorselDispenser {
     /// Morsel size in input positions, normalized ≥ 1. A requested size of
     /// 0 (or anything ≥ the input length) degrades to one whole-input
-    /// morsel — the static single-partition behaviour.
+    /// morsel — what a serial scan claims.
     size: usize,
     /// Total input positions; [`UNBOUND`] until known.
     len: AtomicUsize,

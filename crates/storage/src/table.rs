@@ -86,15 +86,6 @@ pub struct Table {
     name: String,
     schema: Schema,
     backend: Backend,
-    /// Simulated storage latency: sleep `stall_ns` nanoseconds once per
-    /// `stall_every` heap reads (0 = disabled, the default). The tables
-    /// here are in-memory, but the paper's environment is disk-bound —
-    /// this knob recreates that regime for experiments (e.g. measuring
-    /// what partitioned parallel scans buy when leaf reads actually
-    /// wait), without touching results or getnext accounting.
-    stall_every: std::sync::atomic::AtomicU64,
-    stall_ns: std::sync::atomic::AtomicU64,
-    reads: std::sync::atomic::AtomicU64,
 }
 
 impl Table {
@@ -104,9 +95,6 @@ impl Table {
             name: name.into(),
             schema,
             backend: Backend::Heap(Vec::new()),
-            stall_every: std::sync::atomic::AtomicU64::new(0),
-            stall_ns: std::sync::atomic::AtomicU64::new(0),
-            reads: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -117,9 +105,6 @@ impl Table {
             name: name.into(),
             schema,
             backend: Backend::Paged(rows),
-            stall_every: std::sync::atomic::AtomicU64::new(0),
-            stall_ns: std::sync::atomic::AtomicU64::new(0),
-            reads: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -239,42 +224,9 @@ impl Table {
     /// WAL recovery at open, not at read time).
     #[inline]
     pub fn row(&self, rid: RowId) -> Row {
-        if self.stall_every.load(std::sync::atomic::Ordering::Relaxed) != 0 {
-            self.stall_read();
-        }
         match &self.backend {
             Backend::Heap(rows) => rows[rid as usize].clone(),
             Backend::Paged(p) => p.row(rid),
-        }
-    }
-
-    /// Enables (or, with `every = 0`, disables) the simulated read
-    /// stall: every `every`-th heap read sleeps for `stall`. Callable
-    /// through a shared handle — concurrent partition scans each pay
-    /// their share of the stalls, exactly like concurrent page reads.
-    pub fn set_read_stall(&self, every: u64, stall: std::time::Duration) {
-        let ns = stall.as_nanos().min(u64::MAX as u128) as u64;
-        self.stall_ns
-            .store(ns, std::sync::atomic::Ordering::Relaxed);
-        // Reset the phase so the schedule is deterministic from the moment
-        // of (re)configuration: the first sleep lands on the `every`-th
-        // read after this call, however many reads happened before it.
-        self.reads.store(0, std::sync::atomic::Ordering::Relaxed);
-        self.stall_every
-            .store(every, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Cold path of [`Table::row`] when a stall is configured.
-    #[cold]
-    fn stall_read(&self) {
-        use std::sync::atomic::Ordering;
-        let every = self.stall_every.load(Ordering::Relaxed);
-        // 1-based count: the `every`-th, `2·every`-th, … reads sleep, so
-        // the very first read never does (unless `every == 1`).
-        let n = self.reads.fetch_add(1, Ordering::Relaxed) + 1;
-        if every != 0 && n.is_multiple_of(every) {
-            let ns = self.stall_ns.load(Ordering::Relaxed);
-            std::thread::sleep(std::time::Duration::from_nanos(ns));
         }
     }
 
@@ -288,26 +240,6 @@ impl Table {
     /// Iterator over `(rid, row)` in insertion order, on any backend.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, Row)> + '_ {
         (0..self.len() as RowId).map(move |rid| (rid, self.row(rid)))
-    }
-
-    /// Splits the heap into `n` contiguous, non-overlapping row-id ranges
-    /// `[start, end)` that cover the table in insertion order. The first
-    /// `len % n` ranges get one extra row, so partition sizes differ by at
-    /// most one. Concatenating the partitions in order reproduces the
-    /// serial scan order exactly — the invariant parallel scans rely on to
-    /// keep results byte-identical to a serial run.
-    pub fn partition_ranges(&self, n: usize) -> Vec<(usize, usize)> {
-        let n = n.max(1);
-        let len = self.len();
-        let (base, extra) = (len / n, len % n);
-        let mut ranges = Vec::with_capacity(n);
-        let mut start = 0;
-        for p in 0..n {
-            let size = base + usize::from(p < extra);
-            ranges.push((start, start + size));
-            start += size;
-        }
-        ranges
     }
 
     /// Reorders the rows of the table in place according to `perm`, where
@@ -384,34 +316,6 @@ mod tests {
             .map(|r| r.get(0).as_i64().unwrap())
             .collect();
         assert_eq!(got, vec![3, 1, 0, 2]);
-    }
-
-    #[test]
-    fn partition_ranges_cover_the_table_in_order() {
-        let mut tab = t();
-        for i in 0..10 {
-            tab.insert(Row::new(vec![Value::Int(i), Value::str("x")]))
-                .unwrap();
-        }
-        for n in [1, 2, 3, 4, 7, 10, 16] {
-            let ranges = tab.partition_ranges(n);
-            assert_eq!(ranges.len(), n);
-            let mut expect_start = 0;
-            for &(start, end) in &ranges {
-                assert_eq!(start, expect_start, "ranges must be contiguous");
-                assert!(end >= start);
-                expect_start = end;
-            }
-            assert_eq!(expect_start, tab.len(), "ranges must cover the heap");
-            let sizes: Vec<usize> = ranges.iter().map(|(s, e)| e - s).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(
-                max - min <= 1,
-                "sizes must differ by at most one: {sizes:?}"
-            );
-        }
-        // Degenerate request: n = 0 behaves as 1.
-        assert_eq!(tab.partition_ranges(0), vec![(0, 10)]);
     }
 
     #[test]
