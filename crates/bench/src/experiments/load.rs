@@ -13,8 +13,8 @@
 //! * **zero protocol errors** — every request gets a well-formed reply,
 //!   no unsolicited lines, no server-side disconnects;
 //! * **monotone session states** — no `STATUS` reply ever reports a
-//!   state earlier in the lifecycle than a previous reply for the same
-//!   query (Queued → Running → terminal);
+//!   state earlier in the lifecycle (Queued → Running → terminal) than a
+//!   reply for the same query that had arrived before its request left;
 //! * **bounded `STATUS` latency** — client-observed round-trip p99 and
 //!   mean under load stay within an explicit budget, with the idle
 //!   baseline recorded alongside so the overhead of live progress
@@ -23,10 +23,11 @@
 //!   histogram (PR 9) stays within budget.
 //!
 //! The generator reuses the server's own [`qp_service::reactor`]
-//! machinery client-side: nonblocking sockets, the same peek-based
-//! readiness sweep, and the same [`LineFramer`] — so one driver thread
+//! machinery client-side: nonblocking sockets, the same blocking
+//! `poll(2)` call, and the same [`LineFramer`] — so one driver thread
 //! multiplexes all connections without threads-per-connection on either
-//! end. Results land in `BENCH_service.json` at the workspace root.
+//! end, and waits for replies in the kernel rather than in a sleep.
+//! Results land in `BENCH_service.json` at the workspace root.
 //!
 //! [`LineFramer`]: qp_service::reactor::LineFramer
 
@@ -35,7 +36,7 @@ use crate::Scale;
 use qp_datagen::{TpchConfig, TpchDb};
 use qp_obs::json::Obj;
 use qp_obs::LatencyHistogram;
-use qp_service::reactor::{self, Conn, Frame};
+use qp_service::reactor::{self, Conn, Frame, PollFd};
 use qp_service::{
     ProgressServer, QueryService, QueryState, RetryPolicy, ServerConfig, ServiceClient,
     ServiceConfig, StatusLine,
@@ -44,6 +45,7 @@ use qp_stats::DbStats;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,6 +74,11 @@ struct Params {
     max_submits: usize,
     /// Per-round reply deadline.
     round_timeout: Duration,
+    /// How long the open connections are left silent to count the event
+    /// loops' idle wakeups.
+    quiet: Duration,
+    /// Gate: client-observed `STATUS` p50 with nothing running, in ms.
+    idle_p50_ms: f64,
     /// Gate: client-observed `STATUS` p99 under load, in ms.
     status_p99_ms: f64,
     /// Gate: client-observed `STATUS` mean under load, in ms.
@@ -80,7 +87,21 @@ struct Params {
     queue_p99_ms: f64,
 }
 
+/// The ROADMAP's targets for the front end at 5,000 connections, in ms.
+/// Not gates: a round is one burst of a request per connection from one
+/// thread, so a reply's latency is mostly its place in that burst, and
+/// both modes measure well above them (EXPERIMENTS.md). Each run reports
+/// whether it met them.
+const TARGET_IDLE_P50_MS: f64 = 1.0;
+const TARGET_BUSY_P99_MS: f64 = 10.0;
+
 impl Params {
+    /// Full mode: every budget is twice the median of 14 runs on the
+    /// 2-vCPU reference box, put on the histogram bucket edge below
+    /// (idle p50 9.4 ms, busy p99 67 ms, busy mean 22 ms, queue p99
+    /// 18.9 ms). Small mode is CI's: twice the *worst* of 28 runs (4.2,
+    /// 25.2, 8.9 and 12.6 ms) — the box itself moves by 2× between quiet
+    /// and busy hours, and a gate one bucket above its median flakes.
     fn new(small: bool) -> Params {
         if small {
             Params {
@@ -92,9 +113,11 @@ impl Params {
                 pool: 8,
                 max_submits: 64,
                 round_timeout: Duration::from_secs(30),
-                status_p99_ms: 2_000.0,
-                status_mean_ms: 250.0,
-                queue_p99_ms: 2_000.0,
+                quiet: Duration::from_millis(250),
+                idle_p50_ms: 8.4,
+                status_p99_ms: 50.4,
+                status_mean_ms: 18.0,
+                queue_p99_ms: 25.2,
             }
         } else {
             Params {
@@ -106,9 +129,11 @@ impl Params {
                 pool: 16,
                 max_submits: 256,
                 round_timeout: Duration::from_secs(120),
-                status_p99_ms: 10_000.0,
-                status_mean_ms: 2_000.0,
-                queue_p99_ms: 10_000.0,
+                quiet: Duration::from_secs(1),
+                idle_p50_ms: 16.8,
+                status_p99_ms: 134.3,
+                status_mean_ms: 43.0,
+                queue_p99_ms: 33.6,
             }
         }
     }
@@ -130,6 +155,12 @@ pub struct LoadResult {
     /// Shared-scan counters observed after the run:
     /// `(attaches, shared_attaches, rows_produced, rows_served)`.
     pub sharedscan: (u64, u64, u64, u64),
+    /// The two front-end latency gates and the ROADMAP-target verdict,
+    /// one rendered line each (CI greps them).
+    pub gates: Vec<String>,
+    /// Whether the run met the ROADMAP's front-end targets — reported
+    /// beside the gate verdict, not part of it.
+    pub targets_met: bool,
     pub violations: Vec<String>,
     /// Flat `(key, value)` summary fields mirrored into the JSON gate.
     summary: Vec<(&'static str, f64)>,
@@ -160,6 +191,10 @@ impl LoadResult {
             self.sharedscan.2,
             self.sharedscan.3,
         ));
+        for g in &self.gates {
+            out.push_str(g);
+            out.push('\n');
+        }
         if self.passed() {
             out.push_str(&format!(
                 "PASS: {} connections served with zero protocol errors and bounded latency\n",
@@ -208,6 +243,11 @@ struct Pending {
     verb: Verb,
     series: usize,
     sent: Instant,
+    /// `STATUS`: the highest lifecycle rank already seen for the query
+    /// when this request was sent — what its reply must not fall below.
+    /// (Replies to requests in flight together carry no order: two loops
+    /// serve them and the generator reads them in connection order.)
+    floor: u8,
     /// Lines left in an `OK <n>` block reply; `None` = header not seen.
     block_left: Option<usize>,
 }
@@ -234,8 +274,8 @@ struct Run {
     submits_left: usize,
 }
 
-/// Queued → Running → terminal; `STATUS` replies must never rank lower
-/// than an earlier reply for the same query.
+/// Queued → Running → terminal; a `STATUS` reply must never rank lower
+/// than a reply for the same query seen before its request was sent.
 fn rank(state: QueryState) -> u8 {
     match state {
         QueryState::Queued => 0,
@@ -276,58 +316,73 @@ impl Run {
         }
     }
 
+    /// Queues one request and writes it at once; whatever the socket
+    /// does not take is flushed by [`pump`](Run::pump) when it reports
+    /// writable.
     fn queue(&mut self, c: &mut Client, verb: Verb, series: usize, line: &str) {
         debug_assert!(c.pending.is_none(), "one outstanding request per conn");
         c.conn.queue(line);
+        let floor = line
+            .strip_prefix("STATUS ")
+            .and_then(|id| self.states.get(id).copied())
+            .unwrap_or(0);
         c.pending = Some(Pending {
             verb,
             series,
             sent: Instant::now(),
+            floor,
             block_left: None,
         });
+        if c.conn.flush().is_err() {
+            c.dead = true;
+            self.protocol_errors += 1;
+            self.note(format!("{verb:?}: write failed"));
+        }
     }
 
-    /// One readiness sweep over all live connections: read, frame,
-    /// account replies, flush pending output.
-    fn pump(&mut self, clients: &mut [Client]) {
+    /// Waits up to `timeout` for a connection that owes a reply (or has
+    /// unsent output) to become ready, then reads, frames and accounts
+    /// replies and flushes pending output.
+    fn pump(&mut self, clients: &mut [Client], timeout: Duration) {
+        let mut fds: Vec<PollFd> = clients
+            .iter()
+            .map(|c| {
+                let unsent = !c.conn.flushed();
+                if !c.dead && (c.pending.is_some() || unsent) {
+                    PollFd::new(c.conn.stream(), unsent)
+                } else {
+                    PollFd::none()
+                }
+            })
+            .collect();
         let mut events = Vec::new();
-        reactor::poll(
-            clients
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.dead)
-                .map(|(i, c)| (i, c.conn.stream())),
-            &mut events,
-        );
+        reactor::poll(&mut fds, Some(timeout), &mut events).expect("poll(2) on the client sockets");
         for ev in events {
             let c = &mut clients[ev.token];
-            if c.dead {
-                continue;
-            }
             if ev.hup {
                 c.dead = true;
                 self.protocol_errors += 1;
                 self.note(format!("conn {}: server hung up mid-session", ev.token));
                 continue;
             }
-            match c.conn.fill() {
-                Ok(true) => {}
-                Ok(false) | Err(_) => {
-                    c.dead = true;
-                    self.protocol_errors += 1;
-                    self.note(format!("conn {}: connection dropped by server", ev.token));
-                    continue;
+            if ev.readable {
+                match c.conn.fill() {
+                    Ok(true) => {}
+                    Ok(false) | Err(_) => {
+                        c.dead = true;
+                        self.protocol_errors += 1;
+                        self.note(format!("conn {}: connection dropped by server", ev.token));
+                        continue;
+                    }
+                }
+                while let Some(frame) = c.conn.framer.pop() {
+                    self.on_frame(ev.token, c, frame);
                 }
             }
-            while let Some(frame) = c.conn.framer.pop() {
-                self.on_frame(ev.token, c, frame);
-            }
-        }
-        for (i, c) in clients.iter_mut().enumerate() {
-            if !c.dead && c.conn.flush().is_err() {
+            if ev.writable && c.conn.flush().is_err() {
                 c.dead = true;
                 self.protocol_errors += 1;
-                self.note(format!("conn {i}: write failed"));
+                self.note(format!("conn {}: write failed", ev.token));
             }
         }
     }
@@ -376,8 +431,7 @@ impl Run {
                     Verb::Status => match StatusLine::parse(&line) {
                         Ok(s) => {
                             let r = rank(s.state);
-                            let seen = self.states.entry(s.id.to_string()).or_insert(r);
-                            if r < *seen {
+                            if r < p.floor {
                                 self.monotone_violations += 1;
                                 if self.monotone_violations == 1 {
                                     self.violations.push(format!(
@@ -385,9 +439,9 @@ impl Run {
                                         s.id, s.state
                                     ));
                                 }
-                            } else {
-                                *seen = r;
                             }
+                            let seen = self.states.entry(s.id.to_string()).or_insert(r);
+                            *seen = r.max(*seen);
                         }
                         Err(e) => failed = Some(format!("conn {token}: bad STATUS reply: {e}")),
                     },
@@ -414,12 +468,9 @@ impl Run {
     /// Pumps until every connection is reply-free or `deadline` passes;
     /// stragglers count as timeouts and their connections are retired.
     fn drain(&mut self, clients: &mut [Client], deadline: Instant) {
-        loop {
-            self.pump(clients);
-            if clients.iter().all(|c| c.dead || c.pending.is_none()) {
-                return;
-            }
-            if Instant::now() >= deadline {
+        while clients.iter().any(|c| !c.dead && c.pending.is_some()) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 let mut missing = 0u64;
                 for c in clients.iter_mut() {
                     if !c.dead && c.pending.is_some() {
@@ -432,7 +483,7 @@ impl Run {
                 self.note(format!("{missing} replies missing at round deadline"));
                 return;
             }
-            std::thread::sleep(Duration::from_micros(500));
+            self.pump(clients, left);
         }
     }
 
@@ -471,7 +522,7 @@ impl Run {
             if i % 64 == 63 {
                 // Interleave sends with reply service so neither side's
                 // buffers balloon at high connection counts.
-                self.pump(clients);
+                self.pump(clients, Duration::ZERO);
             }
         }
         self.drain(clients, Instant::now() + timeout);
@@ -585,11 +636,21 @@ pub fn load(scale: &Scale, small: bool, seed: u64) -> LoadResult {
         run.queue(&mut c, Verb::Hello, 0, "HELLO");
         clients.push(c);
         if i % 64 == 63 {
-            run.pump(&mut clients);
+            run.pump(&mut clients, Duration::ZERO);
         }
     }
     run.drain(&mut clients, Instant::now() + p.round_timeout);
     let up = clients.iter().filter(|c| !c.dead).count();
+
+    // Quiet window: every connection open, nothing sent. Event loops
+    // blocked in the kernel should not wake at all.
+    let wakeups = || -> u64 {
+        let loops = service.reactor_loops();
+        loops.iter().map(|s| s.wakeups.load(Relaxed)).sum()
+    };
+    let quiet_from = wakeups();
+    std::thread::sleep(p.quiet);
+    let wakeups_per_s_idle = (wakeups() - quiet_from) as f64 / p.quiet.as_secs_f64();
 
     // Idle baseline: STATUS sweeps with no query running.
     for r in 0..p.idle_rounds {
@@ -603,7 +664,7 @@ pub fn load(scale: &Scale, small: bool, seed: u64) -> LoadResult {
             let c = &mut clients[i];
             run.queue(c, Verb::Status, 1, &line);
             if i % 64 == 63 {
-                run.pump(&mut clients);
+                run.pump(&mut clients, Duration::ZERO);
             }
         }
         run.drain(&mut clients, Instant::now() + p.round_timeout);
@@ -650,7 +711,6 @@ pub fn load(scale: &Scale, small: bool, seed: u64) -> LoadResult {
     let sharedscan = service
         .scan_share()
         .map(|s| {
-            use std::sync::atomic::Ordering::Relaxed;
             let st = s.stats();
             (
                 st.attaches.load(Relaxed),
@@ -684,10 +744,13 @@ pub fn load(scale: &Scale, small: bool, seed: u64) -> LoadResult {
 
     let idle = run.hists[1].snapshot();
     let busy = run.hists[2].snapshot();
+    let idle_p50_ms = ms(idle.quantile(0.50));
     let busy_p99_ms = ms(busy.quantile(0.99));
     let busy_mean_ms = busy.mean() / 1e6;
     let idle_mean_ms = idle.mean() / 1e6;
     let queue_p99_ms = ms(queue.quantile(0.99));
+    summary.push(("status_idle_p50_ms", idle_p50_ms));
+    summary.push(("status_idle_budget_p50_ms", p.idle_p50_ms));
     summary.push(("status_idle_p99_ms", ms(idle.quantile(0.99))));
     summary.push(("status_idle_mean_ms", idle_mean_ms));
     summary.push(("status_busy_p99_ms", busy_p99_ms));
@@ -696,6 +759,8 @@ pub fn load(scale: &Scale, small: bool, seed: u64) -> LoadResult {
     summary.push(("status_budget_mean_ms", p.status_mean_ms));
     summary.push(("queue_p99_ms", queue_p99_ms));
     summary.push(("queue_budget_p99_ms", p.queue_p99_ms));
+    summary.push(("reactor_wakeups_per_s_idle", wakeups_per_s_idle));
+    let targets_met = idle_p50_ms < TARGET_IDLE_P50_MS && busy_p99_ms < TARGET_BUSY_P99_MS;
     summary.push((
         "status_overhead_ratio",
         if idle_mean_ms > 0.0 {
@@ -732,7 +797,32 @@ pub fn load(scale: &Scale, small: bool, seed: u64) -> LoadResult {
             run.monotone_violations
         ));
     }
-    if busy.count == 0 || busy_p99_ms > p.status_p99_ms {
+    let idle_ok = idle.count > 0 && idle_p50_ms <= p.idle_p50_ms;
+    let busy_ok = busy.count > 0 && busy_p99_ms <= p.status_p99_ms;
+    let verdict = |ok: bool| if ok { "ok" } else { "FAILED" };
+    let gates = vec![
+        format!(
+            "gate: idle STATUS p50 {idle_p50_ms:.3} ms within {:.1} ms at {up} connections: {}",
+            p.idle_p50_ms,
+            verdict(idle_ok)
+        ),
+        format!(
+            "gate: busy STATUS p99 {busy_p99_ms:.3} ms within {:.1} ms at {up} connections: {}",
+            p.status_p99_ms,
+            verdict(busy_ok)
+        ),
+        format!(
+            "roadmap targets (idle p50 < {TARGET_IDLE_P50_MS} ms, busy p99 < {TARGET_BUSY_P99_MS} ms): {}",
+            if targets_met { "met" } else { "missed" }
+        ),
+    ];
+    if !idle_ok {
+        run.violations.push(format!(
+            "idle STATUS p50 {idle_p50_ms:.3} ms exceeds budget {:.1} ms",
+            p.idle_p50_ms
+        ));
+    }
+    if !busy_ok {
         run.violations.push(format!(
             "STATUS p99 under load {busy_p99_ms:.1} ms exceeds budget {:.0} ms",
             p.status_p99_ms
@@ -760,6 +850,8 @@ pub fn load(scale: &Scale, small: bool, seed: u64) -> LoadResult {
         monotone_violations: run.monotone_violations,
         rows,
         sharedscan,
+        gates,
+        targets_met,
         violations: run.violations,
         summary,
     };
@@ -801,6 +893,10 @@ fn write_json(result: &LoadResult, seed: u64) {
         summary = summary.f64(k, *v);
     }
     let summary = summary
+        .str(
+            "roadmap_targets",
+            if result.targets_met { "met" } else { "missed" },
+        )
         .str("gate", if result.passed() { "pass" } else { "fail" })
         .finish();
     // Splice the series array into the flat summary object by hand —

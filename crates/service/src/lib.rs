@@ -18,11 +18,12 @@
 //! * Cooperative cancellation: a [`qp_exec::CancelToken`] per session,
 //!   checked by the executor between getnext calls — the "kill the
 //!   hopeless query" half of the DBA loop.
-//! * [`server::ProgressServer`] — a std-only nonblocking TCP server
+//! * [`server::ProgressServer`] — a crate-free nonblocking TCP server
 //!   speaking the line protocol of [`protocol`] (`SUBMIT` / `STATUS` /
 //!   `LIST` / `CANCEL` / `METRICS` / `TRACE` / `SHUTDOWN`): one
-//!   acceptor plus N [`reactor`] event-loop threads multiplex thousands
-//!   of connections, with [`client::ServiceClient`] as the matching
+//!   acceptor plus N event-loop threads, each blocked in the
+//!   [`reactor`]'s `poll(2)` until a socket needs it, multiplex
+//!   thousands of connections, with [`client::ServiceClient`] as the matching
 //!   blocking client and [`client::ClientRequest`] /
 //!   [`client::ClientResponse`] as its typed (protocol v3) API.
 //! * Observability ([`telemetry`], built on `qp-obs`): a service-wide

@@ -1,14 +1,22 @@
-//! A `libc`-free readiness layer for the nonblocking TCP front end.
+//! The readiness layer for the nonblocking TCP front end: one blocking
+//! `poll(2)` call per wakeup.
 //!
-//! std exposes no selector (`epoll`/`kqueue`), and the workspace policy
-//! forbids external crates — so readiness here is a *sweep*: every
-//! registered socket is nonblocking, and one [`poll`] pass asks each of
-//! them (via a zero-copy `MSG_PEEK`) whether bytes or EOF are waiting.
-//! That is exactly the level-triggered contract of `poll(2)` — a socket
-//! stays "ready" until its bytes are consumed — at O(connections) cost
-//! per sweep instead of O(ready), which on the target box (thousands of
-//! mostly-idle connections, single-digit event-loop threads) is a
-//! microsecond-per-connection syscall tax the load gate measures.
+//! std exposes no selector and the workspace policy forbids external
+//! crates — but std already links libc, so [`poll`] declares `poll(2)`
+//! itself (one `extern "C"` block, unix-only) and blocks in the kernel
+//! until a descriptor is ready or the caller's deadline passes. An idle
+//! loop therefore costs nothing, and a request is served the moment its
+//! bytes arrive instead of at the next timer tick. `poll(2)` rather than
+//! `epoll`: it is stateless — the caller rebuilds a [`PollFd`] slice per
+//! call, so there is no registration to keep in step with the connection
+//! table — and level-triggered, the contract [`Conn`] is written to: a
+//! socket stays ready until its bytes are consumed. The price is O(fds)
+//! per call in the kernel, which `repro -- load` measures at 5,000
+//! connections.
+//!
+//! A thread blocked in [`poll`] is woken from outside through a
+//! [`Waker`] — a socketpair whose read end sits in the poll set — so
+//! neither intake of new sockets nor shutdown waits on a timer.
 //!
 //! The other half of the module is the per-connection state the event
 //! loop multiplexes over:
@@ -23,13 +31,17 @@
 //!
 //! The write path never blocks either: responses are queued into
 //! [`Conn::queue`] and drained by [`Conn::flush`] as the socket accepts
-//! them; a peer that stops reading past the buffer cap is a slow
+//! them (the loop asks for write readiness only while something is
+//! queued); a peer that stops reading past the buffer cap is a slow
 //! consumer and is disconnected by the server, not waited on.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Instant;
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_short};
+use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 /// One framed event out of a [`LineFramer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,56 +138,151 @@ impl LineFramer {
     }
 }
 
-/// One readiness observation from a [`poll`] sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// The caller-chosen token identifying the connection.
-    pub token: usize,
-    /// Bytes are waiting to be read.
-    pub readable: bool,
-    /// The peer closed (EOF) or the socket is in error.
-    pub hup: bool,
+/// One entry of a [`poll`] set: a descriptor and what to wait for on it.
+/// Laid out as C's `struct pollfd`, so a slice of these is handed to the
+/// kernel as is. The entry's index in the slice is its [`Event::token`].
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
-/// One level-triggered readiness sweep over `conns` — the `poll(2)`
-/// analogue. Sockets must be nonblocking. Readiness is probed with a
-/// one-byte `peek` (`MSG_PEEK`: nothing is consumed); a socket with
-/// nothing waiting contributes no event. The caller decides how to wait
-/// when the sweep comes back empty (the event loop sleeps its
-/// `poll_interval`).
-pub fn poll<'a>(conns: impl IntoIterator<Item = (usize, &'a TcpStream)>, events: &mut Vec<Event>) {
-    events.clear();
-    let mut probe = [0u8; 1];
-    for (token, stream) in conns {
-        match stream.peek(&mut probe) {
-            Ok(0) => events.push(Event {
-                token,
-                readable: false,
-                hup: true,
-            }),
-            Ok(_) => events.push(Event {
-                token,
-                readable: true,
-                hup: false,
-            }),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => events.push(Event {
-                token,
-                readable: false,
-                hup: true,
-            }),
+impl PollFd {
+    /// Waits for `fd` to become readable (always) and, when `want_write`,
+    /// writable. Errors and hang-ups are reported regardless.
+    pub fn new(fd: &impl AsRawFd, want_write: bool) -> PollFd {
+        PollFd {
+            fd: fd.as_raw_fd(),
+            events: POLLIN | if want_write { POLLOUT } else { 0 },
+            revents: 0,
+        }
+    }
+
+    /// A placeholder the kernel skips (negative descriptor): keeps later
+    /// entries' indices — their tokens — stable across an empty slot.
+    pub fn none() -> PollFd {
+        PollFd {
+            fd: -1,
+            events: 0,
+            revents: 0,
         }
     }
 }
 
-/// Per-sweep read ceiling per connection: fairness, not correctness — a
-/// firehosing client gets its surplus bytes on the next sweep instead of
-/// starving every other connection this one.
-const READ_QUANTUM: usize = 64 * 1024;
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
+
+#[cfg(target_os = "linux")]
+type NfdsT = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::os::raw::c_uint;
+
+extern "C" {
+    #[link_name = "poll"]
+    fn sys_poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: c_int) -> c_int;
+}
+
+/// One readiness observation from [`poll`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Event {
+    /// Index of the ready entry in the polled slice.
+    pub token: usize,
+    /// Bytes are waiting to be read — or EOF: a peer that has finished
+    /// sending (FIN, `shutdown(SHUT_WR)`) is readable, its read returns
+    /// zero, and it may still be reading what is written to it.
+    pub readable: bool,
+    /// The socket accepts more output. Only reported for entries that
+    /// asked for write readiness.
+    pub writable: bool,
+    /// The descriptor is dead: in error, invalid, or hung up in both
+    /// directions. Nothing more can be written to it.
+    pub hup: bool,
+}
+
+/// Blocks in `poll(2)` until an entry of `fds` is ready or `timeout`
+/// passes (`None`: no deadline), then lists the ready entries in
+/// `events` — none at all means the timeout ran out. Level-triggered: an
+/// entry is reported on every call until its bytes are consumed. Never
+/// returns early: the timeout is rounded up to whole milliseconds and a
+/// signal starts the wait over.
+pub fn poll(
+    fds: &mut [PollFd],
+    timeout: Option<Duration>,
+    events: &mut Vec<Event>,
+) -> io::Result<()> {
+    events.clear();
+    let nfds = NfdsT::try_from(fds.len()).map_err(|_| io::ErrorKind::InvalidInput)?;
+    let timeout_ms = timeout.map_or(-1, |t| {
+        c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+    });
+    // SAFETY: `fds` is an exclusive borrow of `nfds` initialised `repr(C)`
+    // pollfd entries that outlives the call, and the kernel writes only
+    // their `revents` fields. A stale or closed descriptor number is not
+    // a memory hazard: it comes back as `POLLNVAL`.
+    while unsafe { sys_poll(fds.as_mut_ptr(), nfds, timeout_ms) } < 0 {
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+    events.extend(
+        fds.iter()
+            .enumerate()
+            .filter(|(_, fd)| fd.revents != 0)
+            .map(|(token, fd)| Event {
+                token,
+                readable: fd.revents & POLLIN != 0,
+                writable: fd.revents & POLLOUT != 0,
+                hup: fd.revents & (POLLHUP | POLLERR | POLLNVAL) != 0,
+            }),
+    );
+    Ok(())
+}
+
+/// Wakes a thread blocked in [`poll`]: a nonblocking socketpair whose
+/// read end the thread keeps in its poll set. Any thread may
+/// [`wake`](Waker::wake); the polling thread [`drain`](Waker::drain)s
+/// when the entry reports readable.
+#[derive(Debug)]
+pub struct Waker {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl Waker {
+    pub fn new() -> io::Result<Waker> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Waker { rx, tx })
+    }
+
+    /// Makes the read end readable. A full pipe means wake-ups are
+    /// already pending, so the failed write loses nothing.
+    pub fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Consumes pending wake-ups; any left over simply report readable
+    /// again on the next [`poll`].
+    pub fn drain(&self) {
+        let _ = (&self.rx).read(&mut [0u8; 64]);
+    }
+}
+
+impl AsRawFd for Waker {
+    fn as_raw_fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
+    }
+}
 
 /// One multiplexed connection: nonblocking socket, framing state, and a
-/// pending-output buffer the event loop drains opportunistically.
+/// pending-output buffer the event loop drains as the socket allows.
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
@@ -186,8 +293,8 @@ pub struct Conn {
     out_pos: usize,
     /// Last instant a complete request arrived (idle-reaping clock).
     pub last_activity: Instant,
-    /// Close once the output buffer drains (set after `SHUTDOWN`'s
-    /// farewell, or when the server is stopping).
+    /// Close once the output buffer drains: nothing more is served (set
+    /// after `SHUTDOWN`'s farewell, or once the peer has finished sending).
     pub closing: bool,
 }
 
@@ -207,26 +314,38 @@ impl Conn {
         })
     }
 
-    /// The underlying socket (for [`poll`] sweeps).
+    /// The underlying socket (for [`PollFd::new`]).
     pub fn stream(&self) -> &TcpStream {
         &self.stream
     }
 
-    /// Nonblocking read: moves whatever the socket has (up to the
-    /// fairness quantum) into the framer. `Ok(false)` means the peer
-    /// closed cleanly; transport errors surface as `Err`.
+    /// This connection's [`poll`] entry as a server holds it: read
+    /// interest unless `closing` (nothing more is served, and a peer's
+    /// EOF would report readable on every call), write interest while
+    /// output is queued.
+    pub fn poll_fd(&self) -> PollFd {
+        let read = if self.closing { 0 } else { POLLIN };
+        let write = if self.flushed() { 0 } else { POLLOUT };
+        PollFd {
+            fd: self.stream.as_raw_fd(),
+            events: read | write,
+            revents: 0,
+        }
+    }
+
+    /// Nonblocking read: moves what one `read` returns into the framer —
+    /// one per readiness report, so a firehosing peer cannot hold the
+    /// loop; its surplus is reported again by the next [`poll`].
+    /// `Ok(false)` means the peer closed cleanly; transport errors
+    /// surface as `Err`.
     pub fn fill(&mut self) -> io::Result<bool> {
-        let mut buf = [0u8; 4096];
-        let mut taken = 0;
+        let mut buf = [0u8; 16 * 1024];
         loop {
             match self.stream.read(&mut buf) {
                 Ok(0) => return Ok(false),
                 Ok(n) => {
                     self.framer.push(&buf[..n]);
-                    taken += n;
-                    if taken >= READ_QUANTUM {
-                        return Ok(true);
-                    }
+                    return Ok(true);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -243,7 +362,7 @@ impl Conn {
 
     /// Nonblocking write: drains as much pending output as the socket
     /// accepts right now. `WouldBlock` is not an error — the remainder
-    /// stays queued for the next sweep.
+    /// stays queued until the socket reports writable.
     pub fn flush(&mut self) -> io::Result<()> {
         while self.out_pos < self.out.len() {
             match self.stream.write(&self.out[self.out_pos..]) {

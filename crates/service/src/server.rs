@@ -1,12 +1,17 @@
 //! The nonblocking TCP front door for [`QueryService`].
 //!
 //! Architecture: one acceptor thread plus `event_loops` event-loop
-//! threads. The acceptor deals accepted sockets round-robin to the
-//! loops; each loop multiplexes its shard of connections with the
-//! `libc`-free readiness sweep from [`crate::reactor`] — per-connection
-//! read/write buffers, a line-framing state machine, and nonblocking
-//! `fill`/`flush` halves — so thousands of mostly-idle connections cost
-//! a peek syscall per sweep each instead of a parked thread each.
+//! threads, every one of them blocked in [`reactor::poll`] — `poll(2)` —
+//! until there is something to do. The acceptor waits on the listener
+//! and deals accepted sockets round-robin to the loops (so a `SUBMIT`
+//! planning on one loop never stalls the pollers on the other); each
+//! loop waits on its shard of connections — read readiness always, write
+//! readiness only while responses are queued — and on its
+//! [`Waker`], which the acceptor writes after dealing it a socket and
+//! which `SHUTDOWN`/[`ProgressServer::shutdown`] write to stop it. The
+//! only timer is the idle-reap tick (a quarter of `idle_timeout`), so an
+//! idle server makes a handful of wakeups a minute and a request is
+//! served when its bytes arrive, not at the next tick.
 //!
 //! Request handling itself never blocks the loop: every verb is either
 //! a registry/telemetry read or (`SUBMIT`) a bounded `try_send` into
@@ -21,14 +26,19 @@
 //! resynchronises at the next newline — malformed input never costs a
 //! silent disconnect); a peer that stops reading past
 //! `max_outbuf_bytes` of queued responses is a slow consumer and is
-//! disconnected.
+//! disconnected. A peer that has finished *sending* (`shutdown(SHUT_WR)`,
+//! `nc` at the end of its stdin) is not gone: its requests are served
+//! and the replies flushed before the connection is closed.
 //!
 //! Every served request is timed into the service's per-verb latency
-//! histograms (`METRICS` exposes them as `qp_request_latency_ns`).
+//! histograms (`METRICS` exposes them as `qp_request_latency_ns`), and
+//! each loop counts its wakeups into a [`ReactorStats`]
+//! (`qp_reactor_*{loop="i"}`).
 
 use crate::protocol::{err_line, hello_line, status_line, ErrCode, Request};
-use crate::reactor::{self, Conn, Frame};
+use crate::reactor::{self, Conn, Frame, PollFd, Waker};
 use crate::service::{QueryService, SubmitError, SubmitOptions};
+use crate::telemetry::ReactorStats;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -36,7 +46,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Resource limits and loop tuning for a [`ProgressServer`].
+/// Resource limits for a [`ProgressServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Maximum simultaneous live connections across all event loops.
@@ -44,7 +54,8 @@ pub struct ServerConfig {
     /// frees up.
     pub max_connections: usize,
     /// A connection with no complete request for this long (and nothing
-    /// left to write) is closed.
+    /// left to write) is closed — checked every quarter of it, so within
+    /// 25 % of it.
     pub idle_timeout: Duration,
     /// Event-loop threads multiplexing the connections.
     pub event_loops: usize,
@@ -54,9 +65,6 @@ pub struct ServerConfig {
     /// Queued-response cap per connection; a peer that stops reading
     /// past it is disconnected (slow consumer), not waited on.
     pub max_outbuf_bytes: usize,
-    /// Sleep between sweeps when a loop finds no work (the latency
-    /// floor for an idle connection's next request).
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -67,7 +75,37 @@ impl Default for ServerConfig {
             event_loops: 2,
             max_line_bytes: 16 * 1024,
             max_outbuf_bytes: 4 * 1024 * 1024,
-            poll_interval: Duration::from_millis(1),
+        }
+    }
+}
+
+/// What the acceptor and the event loops share.
+struct Shared {
+    service: Arc<QueryService>,
+    config: ServerConfig,
+    stop: AtomicBool,
+    /// Live connections, dealt or in a loop's intake queue.
+    live: AtomicUsize,
+    /// `wakers[0]` is the acceptor's, `wakers[1 + i]` event loop `i`'s.
+    wakers: Vec<Waker>,
+}
+
+impl Shared {
+    /// Tells every thread to wind down and wakes each out of its `poll`.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.wakers.iter().for_each(Waker::wake);
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// One connection fewer. An acceptor parked at the cap is waiting
+    /// for exactly this.
+    fn release_slot(&self) {
+        if self.live.fetch_sub(1, Ordering::SeqCst) == self.config.max_connections {
+            self.wakers[0].wake();
         }
     }
 }
@@ -75,11 +113,9 @@ impl Default for ServerConfig {
 /// The TCP server. Bind with port 0 to let the OS pick a free port (the
 /// chosen address is available from [`local_addr`](ProgressServer::local_addr)).
 pub struct ProgressServer {
-    service: Arc<QueryService>,
+    shared: Arc<Shared>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    loop_threads: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ProgressServer {
@@ -101,39 +137,44 @@ impl ProgressServer {
         assert!(config.max_connections > 0, "need at least one connection");
         assert!(config.event_loops > 0, "need at least one event loop");
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        // Poll-accept so the stop flag is honoured promptly without
-        // needing a self-connection to unblock.
+        let addr = listener.local_addr()?;
+        // `accept` must not block: readiness comes from `poll`, and a
+        // connection reset while still in the backlog would otherwise
+        // park the acceptor where no waker reaches it.
         listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(AtomicUsize::new(0));
-        let mut intakes = Vec::with_capacity(config.event_loops);
-        let mut loop_threads = Vec::with_capacity(config.event_loops);
-        for i in 0..config.event_loops {
+        let wakers = (0..=config.event_loops)
+            .map(|_| Waker::new())
+            .collect::<std::io::Result<Vec<Waker>>>()?;
+        let shared = Arc::new(Shared {
+            service,
+            config,
+            stop: AtomicBool::new(false),
+            live: AtomicUsize::new(0),
+            wakers,
+        });
+        let mut intakes = Vec::new();
+        let mut threads = Vec::new();
+        for i in 0..shared.config.event_loops {
             let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
             intakes.push(tx);
-            let service = Arc::clone(&service);
-            let stop = Arc::clone(&stop);
-            let live = Arc::clone(&live);
-            let config = config.clone();
-            loop_threads.push(
+            let shared = Arc::clone(&shared);
+            let stats = shared.service.register_reactor_loop();
+            threads.push(
                 std::thread::Builder::new()
                     .name(format!("qp-loop-{i}"))
-                    .spawn(move || event_loop(&service, &stop, &live, &config, &rx))?,
+                    .spawn(move || event_loop(&shared, i, &rx, &stats))?,
             );
         }
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
+        let acceptor = Arc::clone(&shared);
+        threads.push(
             std::thread::Builder::new()
                 .name("qp-accept".into())
-                .spawn(move || accept_loop(&listener, &stop, &live, &config, &intakes))?
-        };
+                .spawn(move || accept_loop(&listener, &acceptor, &intakes))?,
+        );
         Ok(ProgressServer {
-            service,
-            addr: local,
-            stop,
-            accept_thread: Some(accept_thread),
-            loop_threads,
+            shared,
+            addr,
+            threads,
         })
     }
 
@@ -144,21 +185,18 @@ impl ProgressServer {
 
     /// The service behind this server.
     pub fn service(&self) -> &Arc<QueryService> {
-        &self.service
+        &self.shared.service
     }
 
     /// Stops accepting, flushes and closes every connection, shuts the
     /// service down, and joins all threads. Idempotent; also invoked by
     /// `Drop`.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
+        self.shared.stop();
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        for t in self.loop_threads.drain(..) {
-            let _ = t.join();
-        }
-        self.service.shutdown();
+        self.shared.service.shutdown();
     }
 }
 
@@ -168,34 +206,46 @@ impl Drop for ProgressServer {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &Arc<AtomicBool>,
-    live: &Arc<AtomicUsize>,
-    config: &ServerConfig,
-    intakes: &[Sender<TcpStream>],
-) {
+fn accept_loop(listener: &TcpListener, shared: &Shared, intakes: &[Sender<TcpStream>]) {
+    let waker = &shared.wakers[0];
+    let mut events = Vec::new();
     let mut next_loop = 0usize;
-    while !stop.load(Ordering::Relaxed) {
-        if live.load(Ordering::Relaxed) >= config.max_connections {
-            // At the cap: leave new connections in the OS backlog and
-            // wait for a close (or the idle reaper) to free a slot.
-            std::thread::sleep(Duration::from_millis(2));
+    while !shared.stopping() {
+        // At the cap the listener leaves the poll set: new connections
+        // stay in the OS backlog until `release_slot` wakes this thread.
+        let at_cap = shared.live.load(Ordering::SeqCst) >= shared.config.max_connections;
+        let mut fds = [
+            PollFd::new(waker, false),
+            if at_cap {
+                PollFd::none()
+            } else {
+                PollFd::new(listener, false)
+            },
+        ];
+        reactor::poll(&mut fds, None, &mut events).expect("poll(2) on the acceptor's own fds");
+        let mut pending = false;
+        for ev in &events {
+            match ev.token {
+                0 => waker.drain(),
+                _ => pending = true,
+            }
+        }
+        if !pending {
             continue;
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                live.fetch_add(1, Ordering::Relaxed);
-                if intakes[next_loop % intakes.len()].send(stream).is_err() {
-                    live.fetch_sub(1, Ordering::Relaxed);
-                }
+                shared.live.fetch_add(1, Ordering::SeqCst);
+                let to = next_loop % intakes.len();
                 next_loop = next_loop.wrapping_add(1);
+                match intakes[to].send(stream) {
+                    Ok(()) => shared.wakers[1 + to].wake(),
+                    Err(_) => shared.release_slot(),
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+            Err(_) => return,
         }
     }
 }
@@ -204,144 +254,145 @@ fn accept_loop(
 /// force-closing connections whose peers have stopped reading.
 const STOP_FLUSH_GRACE: Duration = Duration::from_millis(500);
 
-fn event_loop(
-    service: &Arc<QueryService>,
-    stop: &Arc<AtomicBool>,
-    live: &Arc<AtomicUsize>,
-    config: &ServerConfig,
-    intake: &Receiver<TcpStream>,
-) {
+fn event_loop(shared: &Shared, index: usize, intake: &Receiver<TcpStream>, stats: &ReactorStats) {
+    let (service, config) = (&shared.service, &shared.config);
+    let waker = &shared.wakers[1 + index];
+    let tick = (config.idle_timeout / 4).max(Duration::from_millis(1));
+    let mut next_reap = Instant::now() + tick;
+    // Set once the loop is stopping: when to give up on unflushed peers.
+    let mut stop_by: Option<Instant> = None;
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut events: Vec<reactor::Event> = Vec::new();
-    let mut stopping_since: Option<Instant> = None;
+    let close = |conns: &mut [Option<Conn>], free: &mut Vec<usize>, slot: usize| {
+        if conns[slot].take().is_some() {
+            free.push(slot);
+            shared.release_slot();
+        }
+    };
+    type Doomed<'a> = &'a mut dyn FnMut(&mut Conn) -> bool;
+    let close_where = |conns: &mut [Option<Conn>], free: &mut Vec<usize>, doomed: Doomed| {
+        for slot in 0..conns.len() {
+            if conns[slot].as_mut().is_some_and(&mut *doomed) {
+                close(conns, free, slot);
+            }
+        }
+    };
     loop {
-        let stopping = stop.load(Ordering::Relaxed);
-        if stopping && stopping_since.is_none() {
-            stopping_since = Some(Instant::now());
-        }
-        // Intake: adopt freshly-accepted sockets (not while stopping —
-        // those are closed unserved, like the old accept-loop cutoff).
-        while let Ok(stream) = intake.try_recv() {
-            if stopping {
-                live.fetch_sub(1, Ordering::Relaxed);
-                continue;
-            }
-            match Conn::new(stream, config.max_line_bytes) {
-                Ok(conn) => {
-                    let slot = free.pop().unwrap_or_else(|| {
-                        conns.push(None);
-                        conns.len() - 1
-                    });
-                    conns[slot] = Some(conn);
-                }
-                Err(_) => {
-                    live.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-        }
+        // Entry 0 is the waker, entry 1 + slot a connection; an empty
+        // slot keeps its place so tokens map straight back to slots.
+        fds.clear();
+        fds.push(PollFd::new(waker, false));
+        fds.extend(conns.iter().map(|c| match c {
+            Some(c) => c.poll_fd(),
+            None => PollFd::none(),
+        }));
+        let wait = stop_by
+            .unwrap_or(next_reap)
+            .saturating_duration_since(Instant::now());
+        reactor::poll(&mut fds, Some(wait), &mut events).expect("poll(2) on the loop's own fds");
+        stats.woke(events.len());
 
-        // Readiness sweep: read, frame, respond.
-        reactor::poll(
-            conns
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| c.as_ref().map(|c| (i, c.stream()))),
-            &mut events,
-        );
-        let mut progressed = !events.is_empty();
-        for ev in std::mem::take(&mut events) {
-            let mut dead = false;
-            if let Some(conn) = conns[ev.token].as_mut() {
-                if ev.hup {
-                    dead = true;
-                } else {
-                    match conn.fill() {
-                        Ok(true) => {}
-                        Ok(false) | Err(_) => dead = true,
-                    }
-                    if !dead {
-                        conn.last_activity = Instant::now();
-                        while let Some(frame) = conn.framer.pop() {
-                            let served_at = Instant::now();
-                            let reply = respond(service, config, &frame);
-                            conn.queue(&reply.text);
-                            if let Some(i) = reply.verb {
-                                service.record_verb_latency(
-                                    i,
-                                    served_at.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                                );
-                            }
-                            if reply.shutdown {
-                                // Farewell queued; close once it drains
-                                // and tell every loop to wind down.
-                                conn.closing = true;
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
+        for &ev in &events {
+            if ev.token == 0 {
+                // Intake: adopt freshly-dealt sockets (not while
+                // stopping — those are closed unserved).
+                waker.drain();
+                while let Ok(stream) = intake.try_recv() {
+                    match Conn::new(stream, config.max_line_bytes) {
+                        Ok(conn) if !shared.stopping() => {
+                            let slot = free.pop().unwrap_or_else(|| {
+                                conns.push(None);
+                                conns.len() - 1
+                            });
+                            conns[slot] = Some(conn);
+                            stats.accepted.fetch_add(1, Ordering::Relaxed);
                         }
-                        dead = conn.flush().is_err();
+                        _ => shared.release_slot(),
                     }
                 }
-            }
-            if dead {
-                close_slot(&mut conns, &mut free, live, ev.token);
-            }
-        }
-
-        // Write / reap sweep: drain pending output, enforce the
-        // slow-consumer cap and the idle timeout, close drained
-        // `closing` connections.
-        for i in 0..conns.len() {
-            let mut dead = false;
-            if let Some(conn) = conns[i].as_mut() {
-                if !conn.flushed() {
-                    let before = conn.out_len();
-                    if conn.flush().is_err() {
-                        dead = true;
-                    } else if conn.out_len() != before {
-                        progressed = true;
-                    }
-                }
-                if !dead {
-                    let force_stop =
-                        stopping && stopping_since.is_some_and(|t| t.elapsed() >= STOP_FLUSH_GRACE);
-                    dead = (conn.flushed() && (conn.closing || stopping))
-                        || force_stop
-                        || conn.out_len() > config.max_outbuf_bytes
-                        || (conn.flushed() && conn.last_activity.elapsed() >= config.idle_timeout);
-                }
-            } else {
                 continue;
             }
-            if dead {
-                close_slot(&mut conns, &mut free, live, i);
+            let slot = ev.token - 1;
+            let Some(conn) = conns[slot].as_mut() else {
+                continue;
+            };
+            let mut alive = !ev.hup;
+            if alive && ev.readable {
+                match conn.fill() {
+                    Ok(true) => {}
+                    // The peer has finished sending but may still be
+                    // reading (`shutdown(SHUT_WR)`, `nc` at the end of
+                    // its stdin): its replies are flushed before the close.
+                    Ok(false) => conn.closing = true,
+                    Err(_) => alive = false,
+                }
+                while alive && !conn.closing {
+                    let Some(frame) = conn.framer.pop() else {
+                        break;
+                    };
+                    let served_at = Instant::now();
+                    conn.last_activity = served_at;
+                    let reply = respond(service, config, &frame);
+                    conn.queue(&reply.text);
+                    if let Some(i) = reply.verb {
+                        service.record_verb_latency(
+                            i,
+                            served_at.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                        );
+                    }
+                    if reply.shutdown {
+                        // Farewell queued; close once it drains and
+                        // tell every loop to wind down.
+                        conn.closing = true;
+                        shared.stop();
+                    }
+                    // One read can carry thousands of requests: the cap
+                    // bounds the backlog mid-batch too, after the socket
+                    // has had its chance to take it.
+                    if conn.out_len() > config.max_outbuf_bytes {
+                        alive = conn.flush().is_ok() && conn.out_len() <= config.max_outbuf_bytes;
+                    }
+                }
+            }
+            // Flush what was just queued, or what a `writable` report
+            // says the socket now takes; the rest keeps write interest on.
+            alive = alive && conn.flush().is_ok();
+            stats
+                .outbuf_high_water
+                .fetch_max(conn.out_len() as u64, Ordering::Relaxed);
+            if !alive
+                || conn.out_len() > config.max_outbuf_bytes
+                || (conn.flushed() && (conn.closing || stop_by.is_some()))
+            {
+                close(&mut conns, &mut free, slot);
             }
         }
 
-        if stopping && conns.iter().all(Option::is_none) {
-            // Drain any sockets still queued so the live count stays
-            // honest, then exit.
-            while let Ok(_stream) = intake.try_recv() {
-                live.fetch_sub(1, Ordering::Relaxed);
+        let now = Instant::now();
+        if stop_by.is_none() && shared.stopping() {
+            // Everything already flushed closes now; the rest is polled
+            // for `writable` until the grace runs out.
+            stop_by = Some(now + STOP_FLUSH_GRACE);
+            close_where(&mut conns, &mut free, &mut |c| {
+                c.flush().is_err() || c.flushed()
+            });
+        }
+        if let Some(by) = stop_by {
+            if now >= by || conns.iter().all(Option::is_none) {
+                // Force-close the stragglers and the sockets still
+                // queued, so the live count stays honest, then exit.
+                close_where(&mut conns, &mut free, &mut |_| true);
+                intake.try_iter().for_each(|_| shared.release_slot());
+                return;
             }
-            return;
+        } else if now >= next_reap {
+            next_reap = now + tick;
+            close_where(&mut conns, &mut free, &mut |c| {
+                c.flushed() && c.last_activity + config.idle_timeout <= now
+            });
         }
-        if !progressed {
-            std::thread::sleep(config.poll_interval);
-        }
-    }
-}
-
-fn close_slot(
-    conns: &mut [Option<Conn>],
-    free: &mut Vec<usize>,
-    live: &Arc<AtomicUsize>,
-    slot: usize,
-) {
-    if conns[slot].take().is_some() {
-        free.push(slot);
-        live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -394,6 +445,16 @@ impl Reply {
     }
 }
 
+/// An `OK <n>`-framed block reply: the count, then the `n` lines.
+fn block(lines: &[impl AsRef<str>]) -> String {
+    let mut out = format!("OK {}", lines.len());
+    for l in lines {
+        out.push('\n');
+        out.push_str(l.as_ref());
+    }
+    out
+}
+
 /// Serves one framed event. Every branch answers with exactly one
 /// `OK …` / `ERR <CODE> …` head line (block verbs append their body) —
 /// the audit invariant that malformed input never goes unanswered.
@@ -439,46 +500,25 @@ fn respond(service: &Arc<QueryService>, config: &ServerConfig, frame: &Frame) ->
             Some(report) => status_line(&report),
             None => err_line(ErrCode::UnknownQuery, &format!("unknown query {id}")),
         },
-        Ok(Request::List) => {
-            let sessions = service.list();
-            let mut out = format!("OK {}", sessions.len());
-            for (id, state, health) in sessions {
-                out.push_str(&format!("\n{id} {state} health={health}"));
-            }
-            out
-        }
+        Ok(Request::List) => block(
+            &service
+                .list()
+                .iter()
+                .map(|(id, state, health)| format!("{id} {state} health={health}"))
+                .collect::<Vec<_>>(),
+        ),
         Ok(Request::Metrics) => {
             let text = crate::telemetry::metrics_text(service);
-            let lines: Vec<&str> = text.lines().collect();
-            let mut out = format!("OK {}", lines.len());
-            for l in lines {
-                out.push('\n');
-                out.push_str(l);
-            }
-            out
+            block(&text.lines().collect::<Vec<_>>())
         }
         Ok(Request::Trace(id)) => match crate::telemetry::trace_jsonl(service, id) {
-            Some(lines) => {
-                let mut out = format!("OK {}", lines.len());
-                for l in &lines {
-                    out.push('\n');
-                    out.push_str(l);
-                }
-                out
-            }
+            Some(lines) => block(&lines),
             None => err_line(ErrCode::UnknownQuery, &format!("unknown query {id}")),
         },
         Ok(Request::Audit(id)) => match crate::telemetry::audit_jsonl(service, id) {
-            Some(lines) => {
-                // Bare AUDIT with nothing finished yet legally answers
-                // `OK 0`; only an unknown/expired id errors.
-                let mut out = format!("OK {}", lines.len());
-                for l in &lines {
-                    out.push('\n');
-                    out.push_str(l);
-                }
-                out
-            }
+            // Bare AUDIT with nothing finished yet legally answers
+            // `OK 0`; only an unknown/expired id errors.
+            Some(lines) => block(&lines),
             None => {
                 let id = id.expect("bare AUDIT always renders");
                 err_line(

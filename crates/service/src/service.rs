@@ -41,6 +41,7 @@
 
 use crate::session::{QueryId, QueryResult, QueryState, Session, SessionTelemetry};
 use crate::sync::lock_or_recover;
+use crate::telemetry::ReactorStats;
 use qp_exec::executor::QueryRun;
 use qp_exec::{ExecError, FaultConfig, FaultPlan, Plan, RunControls, SpanAttach};
 use qp_obs::{
@@ -285,6 +286,9 @@ struct ServiceInner {
     /// Per-verb server request latency, index-aligned with
     /// [`crate::protocol::VERBS`].
     verb_hists: Box<[LatencyHistogram]>,
+    /// Wakeup counters of the front end's event loops, in registration
+    /// order (the `loop` label of `qp_reactor_*`).
+    reactor_loops: Mutex<Vec<Arc<ReactorStats>>>,
     /// Shared-scan registry handed to every non-fault session's
     /// executor; `None` when [`ServiceConfig::shared_scan`] is off.
     scan_share: Option<Arc<qp_storage::ScanShare>>,
@@ -354,6 +358,7 @@ impl QueryService {
             verb_hists: (0..crate::protocol::VERBS.len())
                 .map(|_| LatencyHistogram::new())
                 .collect(),
+            reactor_loops: Mutex::new(Vec::new()),
             scan_share: config
                 .shared_scan
                 .then(|| Arc::new(qp_storage::ScanShare::new())),
@@ -601,6 +606,19 @@ impl QueryService {
         if let Some(hist) = self.inner.verb_hists.get(verb_index) {
             hist.record(ns);
         }
+    }
+
+    /// Adds one front-end event loop's counters to what `METRICS`
+    /// exports; the loop keeps the handle and bumps it.
+    pub fn register_reactor_loop(&self) -> Arc<ReactorStats> {
+        let stats = Arc::new(ReactorStats::default());
+        lock_or_recover(&self.inner.reactor_loops).push(Arc::clone(&stats));
+        stats
+    }
+
+    /// Every registered event loop's counters, index = `loop` label.
+    pub fn reactor_loops(&self) -> Vec<Arc<ReactorStats>> {
+        lock_or_recover(&self.inner.reactor_loops).clone()
     }
 
     /// The retained estimator-accuracy postmortems, oldest first.

@@ -25,6 +25,7 @@ use qp_obs::json::Obj;
 use qp_obs::prom::PromText;
 use qp_obs::{Event, EventKind, NodeStatsSnapshot};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Every flight-recorder event kind, in discriminant order (the `METRICS`
 /// exposition emits one `qp_recorder_events_total` sample per kind).
@@ -50,6 +51,34 @@ const STATES: [QueryState; 6] = [
     QueryState::Cancelled,
     QueryState::TimedOut,
 ];
+
+/// What one front-end event loop has done so far — counts only, bumped
+/// with relaxed atomics (no clock is read), exported by [`metrics_text`]
+/// as `qp_reactor_*{loop="i"}`.
+#[derive(Debug, Default)]
+pub struct ReactorStats {
+    /// Returns from [`reactor::poll`](crate::reactor::poll).
+    pub wakeups: AtomicU64,
+    /// Ready entries those returns reported.
+    pub ready_events: AtomicU64,
+    /// Returns that reported nothing: the idle-reap tick.
+    pub timeouts: AtomicU64,
+    /// Sockets this loop adopted from the acceptor.
+    pub accepted: AtomicU64,
+    /// Largest response backlog any one connection has held, in bytes.
+    pub outbuf_high_water: AtomicU64,
+}
+
+impl ReactorStats {
+    /// Accounts one return from [`reactor::poll`](crate::reactor::poll) that reported `events` entries.
+    pub fn woke(&self, events: usize) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        self.ready_events
+            .fetch_add(events as u64, Ordering::Relaxed);
+        self.timeouts
+            .fetch_add(u64::from(events == 0), Ordering::Relaxed);
+    }
+}
 
 /// Renders the full Prometheus text-exposition payload for `METRICS`.
 ///
@@ -317,6 +346,49 @@ pub fn metrics_text(service: &QueryService) -> String {
             snap.sum,
             snap.count,
         );
+    }
+
+    // The front end's event loops: how often each woke and why.
+    let loops = service.reactor_loops();
+    type Count = fn(&ReactorStats) -> &AtomicU64;
+    let reactor_families: [(&str, &str, &str, Count); 5] = [
+        (
+            "qp_reactor_wakeups_total",
+            "counter",
+            "Returns from poll(2), per event loop.",
+            |s| &s.wakeups,
+        ),
+        (
+            "qp_reactor_ready_events_total",
+            "counter",
+            "Ready descriptors those returns reported, per event loop.",
+            |s| &s.ready_events,
+        ),
+        (
+            "qp_reactor_timeouts_total",
+            "counter",
+            "Returns from poll(2) with nothing ready (the idle-reap tick), per event loop.",
+            |s| &s.timeouts,
+        ),
+        (
+            "qp_reactor_accepted_total",
+            "counter",
+            "Connections adopted from the acceptor, per event loop.",
+            |s| &s.accepted,
+        ),
+        (
+            "qp_reactor_outbuf_high_water_bytes",
+            "gauge",
+            "Largest response backlog one connection has held, per event loop.",
+            |s| &s.outbuf_high_water,
+        ),
+    ];
+    for (name, kind, help, count) in reactor_families {
+        p.family(name, kind, help);
+        for (i, stats) in loops.iter().enumerate() {
+            let v = count(stats).load(Ordering::Relaxed);
+            p.sample(name, &[("loop", &i.to_string())], v as f64);
+        }
     }
 
     // Per-operator getnext latency, merged across every *timed* session

@@ -1,5 +1,7 @@
-//! Server resource limits: the connection cap, idle-connection reaping,
-//! and bounded-grace shutdown with a query still running.
+//! Server resource limits: the connection cap, idle-connection reaping
+//! (on the loop's timeout tick, with no traffic to piggyback on), the
+//! slow-consumer cap, and bounded-grace shutdown with a query still
+//! running.
 
 use qp_datagen::{TpchConfig, TpchDb};
 use qp_service::{
@@ -7,8 +9,9 @@ use qp_service::{
     ServiceConfig,
 };
 use qp_storage::Database;
-use std::io::Read;
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,6 +88,270 @@ fn idle_connections_are_reaped_and_later_clients_served() {
     let status = client.status(id).unwrap().expect("status");
     assert_eq!(status.state, QueryState::Finished);
 
+    server.shutdown();
+}
+
+/// `true` once the server has closed `s`: EOF, or a reset when it closed
+/// with our bytes still unread. Waits at most the socket's read timeout.
+fn closed_by_server(s: &mut TcpStream) -> bool {
+    match s.read(&mut [0u8; 1]) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => matches!(
+            e.kind(),
+            ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted | ErrorKind::BrokenPipe
+        ),
+    }
+}
+
+/// Reaping rides the event loop's timeout tick (a quarter of
+/// `idle_timeout`), so one silent connection on an otherwise idle server
+/// — nothing else ever wakes the loop — is closed no earlier than
+/// `idle_timeout` and no later than 25 % past it.
+#[test]
+fn a_lone_idle_connection_is_reaped_on_the_timeout_tick() {
+    let idle_timeout = Duration::from_millis(800);
+    let service = Arc::new(QueryService::new(tiny_db(), ServiceConfig::default()));
+    let mut server = ProgressServer::bind_with(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        ServerConfig {
+            idle_timeout,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("binds");
+
+    let connected = Instant::now();
+    let mut s = TcpStream::connect(server.local_addr()).expect("connects");
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert!(closed_by_server(&mut s), "idle connection was never reaped");
+    let lived = connected.elapsed();
+    assert!(lived >= idle_timeout, "reaped early, after {lived:?}");
+    let slack = Duration::from_millis(100); // scheduling, not policy
+    assert!(
+        lived <= idle_timeout + idle_timeout / 4 + slack,
+        "reaped late, after {lived:?}"
+    );
+    let timeouts: u64 = service
+        .reactor_loops()
+        .iter()
+        .map(|l| l.timeouts.load(Relaxed))
+        .sum();
+    assert!(timeouts > 0, "nothing but the timeout tick could have run");
+    server.shutdown();
+}
+
+/// Slow loris: a peer dribbling bytes that never complete a request is
+/// idle — only a framed request resets the idle clock.
+#[test]
+fn dribbled_bytes_do_not_postpone_the_idle_reaper() {
+    let service = Arc::new(QueryService::new(tiny_db(), ServiceConfig::default()));
+    let mut server = ProgressServer::bind_with(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        ServerConfig {
+            idle_timeout: Duration::from_millis(400),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("binds");
+    let mut s = TcpStream::connect(server.local_addr()).expect("connects");
+    // One byte every 100 ms: never silent for anywhere near 400 ms.
+    s.set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let started = Instant::now();
+    let mut closed = false;
+    while !closed && started.elapsed() < Duration::from_secs(3) {
+        let _ = s.write_all(b"x");
+        closed = closed_by_server(&mut s);
+    }
+    assert!(closed, "a byte every 100 ms kept the connection alive");
+
+    // A complete request, by contrast, does reset the clock.
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connects");
+    for _ in 0..8 {
+        std::thread::sleep(Duration::from_millis(100));
+        client
+            .hello()
+            .expect("still connected: requests are activity");
+    }
+    server.shutdown();
+}
+
+/// Sends `requests` METRICS lines without reading a byte, so the replies
+/// (a few KiB each) back up first in the kernel's buffers and then in
+/// the connection's output buffer.
+fn flood_metrics(s: &mut TcpStream, requests: usize) {
+    s.write_all("METRICS\n".repeat(requests).as_bytes())
+        .expect("requests fit the socket buffers");
+}
+
+/// The largest post-flush response backlog any connection has held.
+fn outbuf_high_water(service: &QueryService) -> u64 {
+    let loops = service.reactor_loops();
+    let per_loop = loops.iter().map(|l| l.outbuf_high_water.load(Relaxed));
+    per_loop.max().expect("the server registered its loops")
+}
+
+/// A peer that stops reading is cut off once `max_outbuf_bytes` of
+/// replies are queued for it, and takes nobody else down with it.
+#[test]
+fn a_peer_that_stops_reading_is_disconnected_at_the_outbuf_cap() {
+    let service = Arc::new(QueryService::new(tiny_db(), ServiceConfig::default()));
+    let mut server = ProgressServer::bind_with(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        ServerConfig {
+            max_outbuf_bytes: 64 * 1024,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("binds");
+    let addr = server.local_addr();
+
+    let requests = 8_000;
+    let mut stalled = TcpStream::connect(addr).expect("connects");
+    flood_metrics(&mut stalled, requests);
+    assert!(
+        wait_until(Duration::from_secs(20), || outbuf_high_water(&service)
+            > 64 * 1024),
+        "the kernel buffered every reply; raise `requests`"
+    );
+    // Only now start reading: whatever was buffered arrives, then the
+    // stream ends — well short of one reply per request.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut heads = 0usize;
+    let mut lines = BufReader::new(stalled).lines();
+    while let Some(Ok(line)) = lines.next() {
+        heads += usize::from(line.starts_with("OK "));
+    }
+    assert!(heads > 0, "the first replies were sent");
+    assert!(
+        heads < requests,
+        "all {requests} replies arrived: the slow consumer was never cut off"
+    );
+    // Past the cap, but by no more than the reply that crossed it —
+    // however many requests one read carried.
+    assert!(
+        outbuf_high_water(&service) < 1024 * 1024,
+        "high water {}",
+        outbuf_high_water(&service)
+    );
+
+    let mut client = ServiceClient::connect(addr).expect("connects");
+    client.hello().expect("other clients are still served");
+    server.shutdown();
+}
+
+/// Below the cap nothing is lost: a backlog the socket would not take is
+/// kept, write interest goes on, and every reply arrives once the peer
+/// reads again.
+#[test]
+fn a_backlog_below_the_cap_drains_when_the_peer_reads_again() {
+    let service = Arc::new(QueryService::new(tiny_db(), ServiceConfig::default()));
+    let mut server = ProgressServer::bind_with(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        ServerConfig {
+            max_outbuf_bytes: 256 * 1024 * 1024,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("binds");
+
+    let requests = 8_000;
+    let mut slow = TcpStream::connect(server.local_addr()).expect("connects");
+    flood_metrics(&mut slow, requests);
+    // Wait until replies are backed up in the output buffer itself.
+    let backed_up = wait_until(Duration::from_secs(20), || {
+        outbuf_high_water(&service) > 1024 * 1024
+    });
+    assert!(
+        backed_up,
+        "the kernel buffered every reply; raise `requests`"
+    );
+
+    slow.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut lines = BufReader::new(slow).lines();
+    for i in 0..requests {
+        let head = lines.next().expect("reply head").expect("io");
+        let body: usize = head
+            .strip_prefix("OK ")
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("reply {i}: bad head {head:?}"));
+        for _ in 0..body {
+            lines.next().expect("reply body").expect("io");
+        }
+    }
+    server.shutdown();
+}
+
+/// A client that sends its requests and half-closes (`printf … | nc`, or
+/// `shutdown(SHUT_WR)` then read) is still answered in full — also when
+/// the replies are backed up behind its FIN — and only then closed; while
+/// it stalls, its EOF does not keep the loop spinning.
+#[test]
+fn a_half_closed_peer_still_gets_every_reply() {
+    let service = Arc::new(QueryService::new(tiny_db(), ServiceConfig::default()));
+    let mut server = ProgressServer::bind_with(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        ServerConfig {
+            max_outbuf_bytes: 256 * 1024 * 1024,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("binds");
+
+    let mut quick = TcpStream::connect(server.local_addr()).expect("connects");
+    quick.write_all(b"HELLO\nSTATUS q999\n").unwrap();
+    quick.shutdown(Shutdown::Write).unwrap();
+    quick
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut replies = String::new();
+    quick
+        .read_to_string(&mut replies)
+        .expect("replies, then EOF");
+    let heads: Vec<&str> = replies.lines().map(|l| &l[..l.len().min(11)]).collect();
+    assert_eq!(heads, ["OK protocol", "ERR UNKNOWN"], "{replies:?}");
+
+    let requests = 8_000;
+    let mut slow = TcpStream::connect(server.local_addr()).expect("connects");
+    flood_metrics(&mut slow, requests);
+    slow.shutdown(Shutdown::Write).unwrap();
+    // Every request served, replies backed up in the output buffer, and
+    // the FIN seen: all that is left to wait for is the stalled socket's
+    // write readiness.
+    let metrics = qp_service::VERBS
+        .iter()
+        .position(|v| *v == "METRICS")
+        .expect("a verb");
+    let served = || service.verb_hists()[metrics].snapshot().count;
+    assert!(wait_until(Duration::from_secs(30), || served() == requests as u64));
+    assert!(
+        outbuf_high_water(&service) > 1024 * 1024,
+        "the kernel buffered every reply; raise `requests`"
+    );
+    let wakeups = || -> u64 {
+        let loops = service.reactor_loops();
+        loops.iter().map(|l| l.wakeups.load(Relaxed)).sum()
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    let before = wakeups();
+    std::thread::sleep(Duration::from_millis(300));
+    let spun = wakeups() - before;
+    assert!(spun < 20, "{spun} wakeups while the peer read nothing");
+
+    slow.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let lines = BufReader::new(slow).lines().map(|l| l.expect("io"));
+    let heads = lines.filter(|l| l.starts_with("OK ")).count();
+    assert_eq!(heads, requests, "every reply, then EOF");
     server.shutdown();
 }
 

@@ -74,10 +74,17 @@ for seed in 1 3; do
     grep -q "PASS: ensemble wins or ties" <<<"$ensemble_out"
 done
 
+echo "==> reactor contract (poll(2) timeout/waker/writable/EOF-vs-hup; an idle server makes no wakeups;"
+echo "    shutdown and SHUTDOWN need no timer)"
+cargo test -q --offline -p qp-service --test reactor
+
 echo "==> load-smoke (event-loop front end under hundreds of concurrent sessions; zero protocol"
-echo "    errors, bounded STATUS/queue latency; repro self-gates and exits non-zero on violation)"
+echo "    errors, idle STATUS p50 and busy STATUS p99 within twice the worst measured run, bounded"
+echo "    queue latency; repro self-gates and exits non-zero on violation)"
 load_out=$(cargo run --release --offline -q -p qp-bench --bin repro -- --small load)
 grep -q "PASS: .* connections served with zero protocol errors" <<<"$load_out"
+grep -q "gate: idle STATUS p50 .* at 256 connections: ok" <<<"$load_out"
+grep -q "gate: busy STATUS p99 .* at 256 connections: ok" <<<"$load_out"
 
 echo "==> BENCH_service.json gate (the load run must have recorded a passing verdict)"
 grep -q '"gate":"pass"' BENCH_service.json
