@@ -35,4 +35,4 @@ pub use checksum::{page_checksum, stamp_page, verify_page};
 pub use page::{read_cell, SlottedPage, PAGE_CHECKSUM_LEN, PAGE_PAYLOAD_END, PAGE_SIZE};
 pub use pager::{IoFaults, PageId, Pager, PagerError};
 pub use pool::{BufferPool, PageRef, PoolStats};
-pub use wal::{wal_stats, CrashPoint, Wal, WalTxn};
+pub use wal::{CrashPoint, Wal, WalTxn};

@@ -40,19 +40,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const REC_PAGE: u8 = 1;
 const REC_COMMIT: u8 = 2;
 
-/// Process-wide WAL traffic counters (bytes appended, fsyncs issued),
-/// exported through the service METRICS endpoint.
-static WAL_BYTES: AtomicU64 = AtomicU64::new(0);
-static WAL_FSYNCS: AtomicU64 = AtomicU64::new(0);
-
-/// `(bytes_written, fsyncs)` across every WAL in the process.
-pub fn wal_stats() -> (u64, u64) {
-    (
-        WAL_BYTES.load(Ordering::Relaxed),
-        WAL_FSYNCS.load(Ordering::Relaxed),
-    )
-}
-
 /// Where a simulated power cut strikes inside [`WalTxn::commit`].
 ///
 /// The first three points leave no durable commit record — recovery
@@ -103,9 +90,11 @@ fn crashed(point: CrashPoint) -> PagerError {
     )))
 }
 
-/// The WAL of one page file.
+/// The WAL of one page file, with its own traffic counters.
 pub struct Wal {
     path: PathBuf,
+    bytes: AtomicU64,
+    fsyncs: AtomicU64,
 }
 
 impl Wal {
@@ -113,7 +102,25 @@ impl Wal {
     pub fn new(path: &Path) -> Wal {
         Wal {
             path: path.to_path_buf(),
+            bytes: AtomicU64::new(0),
+            fsyncs: AtomicU64::new(0),
         }
+    }
+
+    /// `(bytes_written, fsyncs)` through this `Wal` since [`Wal::new`]:
+    /// WAL records appended, and every fsync of the WAL or the data file
+    /// that a commit or recovery issued.
+    pub fn stats(&self) -> (u64, u64) {
+        (
+            self.bytes.load(Ordering::Relaxed),
+            self.fsyncs.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Counts one fsync and the `appended` WAL bytes it made durable.
+    fn record_sync(&self, appended: u64) {
+        self.bytes.fetch_add(appended, Ordering::Relaxed);
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The WAL file path.
@@ -193,14 +200,14 @@ impl Wal {
                 data.write_all_at(image, id * PAGE_SIZE as u64)?;
             }
             data.sync_data()?;
-            WAL_FSYNCS.fetch_add(1, Ordering::Relaxed);
+            self.record_sync(0);
         }
         // Empty WAL = nothing to redo. (Removing instead of truncating
         // would also work; truncation keeps the file's identity stable.)
         let wal_file = OpenOptions::new().write(true).open(&self.path)?;
         wal_file.set_len(0)?;
         wal_file.sync_all()?;
-        WAL_FSYNCS.fetch_add(1, Ordering::Relaxed);
+        self.record_sync(0);
         Ok(replayed)
     }
 }
@@ -259,8 +266,7 @@ impl WalTxn<'_> {
                 let half = rec.len() / 2;
                 wal_file.write_all(&rec[..half])?;
                 wal_file.sync_data()?;
-                WAL_BYTES.fetch_add(written + half as u64, Ordering::Relaxed);
-                WAL_FSYNCS.fetch_add(1, Ordering::Relaxed);
+                self.wal.record_sync(written + half as u64);
                 return Err(crashed(CrashPoint::TornWal));
             }
             wal_file.write_all(&rec)?;
@@ -268,8 +274,7 @@ impl WalTxn<'_> {
         }
         if crash == Some(CrashPoint::WalNoCommit) {
             wal_file.sync_data()?;
-            WAL_BYTES.fetch_add(written, Ordering::Relaxed);
-            WAL_FSYNCS.fetch_add(1, Ordering::Relaxed);
+            self.wal.record_sync(written);
             return Err(crashed(CrashPoint::WalNoCommit));
         }
 
@@ -282,8 +287,7 @@ impl WalTxn<'_> {
         wal_file.write_all(&rec)?;
         written += rec.len() as u64;
         wal_file.sync_data()?;
-        WAL_BYTES.fetch_add(written, Ordering::Relaxed);
-        WAL_FSYNCS.fetch_add(1, Ordering::Relaxed);
+        self.wal.record_sync(written);
         if crash == Some(CrashPoint::AfterCommit) {
             return Err(crashed(CrashPoint::AfterCommit));
         }
@@ -298,13 +302,13 @@ impl WalTxn<'_> {
         for (i, (id, image)) in self.pages.iter().enumerate() {
             if crash == Some(CrashPoint::MidApply) && i >= self.pages.len() / 2 {
                 data.sync_data()?;
-                WAL_FSYNCS.fetch_add(1, Ordering::Relaxed);
+                self.wal.record_sync(0);
                 return Err(crashed(CrashPoint::MidApply));
             }
             data.write_all_at(&image[..], id * PAGE_SIZE as u64)?;
         }
         data.sync_data()?;
-        WAL_FSYNCS.fetch_add(1, Ordering::Relaxed);
+        self.wal.record_sync(0);
         if crash == Some(CrashPoint::BeforeTruncate) {
             return Err(crashed(CrashPoint::BeforeTruncate));
         }
@@ -312,7 +316,7 @@ impl WalTxn<'_> {
         // 4. Empty WAL = transaction retired.
         wal_file.set_len(0)?;
         wal_file.sync_all()?;
-        WAL_FSYNCS.fetch_add(1, Ordering::Relaxed);
+        self.wal.record_sync(0);
         Ok(())
     }
 }
@@ -453,17 +457,30 @@ mod tests {
 
     #[test]
     fn wal_stats_count_bytes_and_fsyncs() {
-        let (b0, f0) = wal_stats();
-        let data = tmp("stats.qpt");
-        let walp = tmp("stats.wal");
-        let _ = std::fs::remove_file(&data);
-        let wal = Wal::new(&walp);
-        let mut txn = wal.begin();
-        txn.log_page(0, &page(0x01));
-        txn.commit(&data, None).unwrap();
-        let (b1, f1) = wal_stats();
-        // One page record + one commit record.
-        assert_eq!(b1 - b0, (1 + 8 + PAGE_SIZE as u64 + 8) + 17);
-        assert!(f1 - f0 >= 3, "wal fsync, data fsync, truncate fsync");
+        const PAGE_REC: u64 = 1 + 8 + PAGE_SIZE as u64 + 8;
+        const COMMIT_REC: u64 = 17;
+        // Two WALs commit at the same moment, one from another thread,
+        // with different page counts: each must count its own traffic.
+        fn commit(name: &str, pages: u64, start: &std::sync::Barrier) -> (u64, u64) {
+            let data = tmp(&format!("{name}.qpt"));
+            let _ = std::fs::remove_file(&data);
+            let wal = Wal::new(&tmp(&format!("{name}.wal")));
+            assert_eq!(wal.stats(), (0, 0));
+            let mut txn = wal.begin();
+            for id in 0..pages {
+                txn.log_page(id, &page(0x01));
+            }
+            start.wait();
+            txn.commit(&data, None).unwrap();
+            wal.stats()
+        }
+        let start = std::sync::Barrier::new(2);
+        let ((bytes, fsyncs), other) = std::thread::scope(|s| {
+            let other = s.spawn(|| commit("stats-other", 3, &start));
+            (commit("stats", 1, &start), other.join().unwrap())
+        });
+        assert_eq!(bytes, PAGE_REC + COMMIT_REC);
+        assert_eq!(fsyncs, 3, "wal fsync, data fsync, truncate fsync");
+        assert_eq!(other, (3 * PAGE_REC + COMMIT_REC, 3));
     }
 }

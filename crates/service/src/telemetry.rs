@@ -145,7 +145,7 @@ pub fn metrics_text(service: &QueryService) -> String {
     )
     .sample("qp_recorder_dropped_total", &[], recorder.dropped() as f64);
 
-    // Buffer-pool and WAL telemetry for paged databases. The pool is
+    // Buffer-pool telemetry for paged databases. The pool is
     // shared database-wide, so these are service-level series (they are
     // what the pagecache experiment's per-hit-rate table comes from).
     if let Some(pool) = service.database().buffer_pool() {
@@ -219,20 +219,6 @@ pub fn metrics_text(service: &QueryService) -> String {
             p.family(name, "counter", help).sample(name, &[], v as f64);
         }
     }
-    let (wal_bytes, wal_fsyncs) = qp_storage::wal_stats();
-    p.family(
-        "qp_wal_bytes_total",
-        "counter",
-        "Bytes appended to write-ahead logs, process-wide.",
-    )
-    .sample("qp_wal_bytes_total", &[], wal_bytes as f64);
-    p.family(
-        "qp_wal_fsyncs_total",
-        "counter",
-        "WAL fsync calls (one per committed transaction), process-wide.",
-    )
-    .sample("qp_wal_fsyncs_total", &[], wal_fsyncs as f64);
-
     // Per-operator counters, aggregated across every retained session's
     // QueryObs by operator kind. Sessions are never evicted, so these
     // aggregates are monotone too.

@@ -48,7 +48,7 @@ pub use btree::BTreeIndex;
 pub use catalog::{Database, IndexMeta};
 pub use error::{StorageError, StorageResult};
 pub use morsel::{Morsel, MorselDispenser};
-pub use qp_pager::{wal_stats, BufferPool, CrashPoint, PoolStats};
+pub use qp_pager::{BufferPool, CrashPoint, PoolStats};
 pub use row::Row;
 pub use schema::{Column, ColumnType, Schema};
 pub use sharedscan::{ScanShare, ScanShareStats, SharedCursor};

@@ -34,7 +34,7 @@ echo "==> parallel_speedup smoke (equivalence at degrees 1/2/4; report-only, not
 cargo test -q --offline -p qp-bench --bench parallel_speedup
 
 echo "==> parallel-gate (measured speedups, two regimes: paged-disk >= 2.0x at 4 workers, cpu-bound"
-echo "    >= 1.0x at degrees 2/4 when the runner has more than one core; exits non-zero on violation)"
+echo "    >= 1.0x at degrees 2/4 when the runner has at least 4 cores; exits non-zero on violation)"
 cargo bench --offline -q -p qp-bench --bench parallel_speedup
 
 echo "==> observability overhead gate (counters AND default-on spans must stay within budget of bare)"
