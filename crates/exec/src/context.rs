@@ -983,8 +983,11 @@ impl Drop for Counted {
 
 impl Operator for Counted {
     fn open(&mut self) -> ExecResult<()> {
-        self.ctx.check_interrupts(self.node)?;
+        // The span begins before the interrupt check, so an operator
+        // whose open a cancel or deadline cut short still leaves its
+        // (immediately closed) span in the trace.
         self.begin_span();
+        self.ctx.check_interrupts(self.node)?;
         if self.counting {
             self.ctx.emit(ExecEvent::Open(self.node));
         }

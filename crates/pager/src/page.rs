@@ -25,7 +25,7 @@
 /// and the classic DBMS default; `Pager` I/O is always whole pages.
 pub const PAGE_SIZE: usize = 4096;
 
-/// Bytes of the trailing per-page checksum (FNV-1a, little-endian).
+/// Bytes of the trailing per-page checksum (word-wise FNV, little-endian).
 pub const PAGE_CHECKSUM_LEN: usize = 8;
 
 /// End of the usable payload region: cells live in `[..PAGE_PAYLOAD_END]`,

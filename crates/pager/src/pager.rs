@@ -35,7 +35,9 @@ use std::sync::Mutex;
 pub type PageId = u64;
 
 const MAGIC: [u8; 4] = *b"QPPG";
-const VERSION: u32 = 1;
+/// On-disk format version. 2: page trailers and WAL records use the
+/// word-wise checksum of [`crate::checksum`] (1 used byte-serial FNV-1a).
+const VERSION: u32 = 2;
 
 /// Errors out of the page layer.
 #[derive(Debug)]
@@ -45,6 +47,13 @@ pub enum PagerError {
     Io(io::Error),
     /// The file or a page image is not what the format says it must be.
     Corrupt(String),
+    /// The file was written in another on-disk format version (for
+    /// instance by an older build); its pages are not readable here.
+    Version {
+        path: PathBuf,
+        found: u32,
+        expected: u32,
+    },
 }
 
 impl std::fmt::Display for PagerError {
@@ -52,6 +61,15 @@ impl std::fmt::Display for PagerError {
         match self {
             PagerError::Io(e) => write!(f, "pager I/O error: {e}"),
             PagerError::Corrupt(m) => write!(f, "pager corruption: {m}"),
+            PagerError::Version {
+                path,
+                found,
+                expected,
+            } => write!(
+                f,
+                "{}: page format version {found}, expected {expected}",
+                path.display()
+            ),
         }
     }
 }
@@ -151,10 +169,11 @@ impl Pager {
         }
         let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
         if version != VERSION {
-            return Err(PagerError::Corrupt(format!(
-                "{}: format version {version}, expected {VERSION}",
-                path.display()
-            )));
+            return Err(PagerError::Version {
+                path: path.to_path_buf(),
+                found: version,
+                expected: VERSION,
+            });
         }
         let page_count = u64::from_le_bytes(header[8..16].try_into().unwrap());
         let freelist_head = u64::from_le_bytes(header[16..24].try_into().unwrap());
@@ -446,6 +465,24 @@ mod tests {
         match err {
             PagerError::Corrupt(m) => assert!(m.contains("checksum"), "{m}"),
             other => panic!("expected Corrupt, got {other}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_file_from_an_older_format_is_a_version_error() {
+        let path = tmp("oldversion.qpt");
+        drop(Pager::create(&path).unwrap());
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        match Pager::open(&path) {
+            Err(PagerError::Version {
+                found: 1,
+                expected: VERSION,
+                ..
+            }) => {}
+            other => panic!("expected Version, got {:?}", other.map(|_| ())),
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -4,12 +4,24 @@
 //! Frames are keyed by `(pager tag, page id)` so one pool fronts any
 //! number of page files. A [`BufferPool::get`] returns a [`PageRef`] —
 //! a pin: the frame cannot be evicted while any `PageRef` to it lives,
-//! and the pin drops with the guard. Reads that hit cost a map lookup;
-//! reads that miss pay the page read **plus the configured miss
-//! penalty**, slept *outside* the pool lock so concurrent workers'
-//! misses overlap — which is exactly what makes the parallel bench's
-//! disk-bound regime honest (stalls overlap across workers, as real
-//! outstanding disk reads would).
+//! and the pin drops with the guard. [`PageRef::image`] hands out the
+//! page image itself, which outlives the pin and the frame: a scan can
+//! pin each page once, keep its image, and unpin at once. Reads that
+//! hit cost a map lookup; reads that miss pay the page read **plus the
+//! configured miss penalty**, slept *outside* the pool lock so
+//! concurrent workers' misses overlap — which is exactly what makes the
+//! parallel bench's disk-bound regime honest (stalls overlap across
+//! workers, as real outstanding disk reads would).
+//!
+//! Eviction is exact LRU at O(1) amortized cost per touch and per
+//! eviction: every touch stamps the frame with a fresh tick and appends
+//! `(tick, key)` to a recency queue, so the queue is ordered by tick and
+//! a frame's one *live* entry is the one carrying its current tick.
+//! Eviction pops from the front, discarding stale entries (the frame was
+//! touched again or is gone) and setting pinned ones aside, so the
+//! victim is the least recently used unpinned frame — the same frame a
+//! scan of every frame would pick. When stale entries pile up (hits
+//! with no evictions), the queue is compacted in place.
 //!
 //! The pool is also the observability surface of the paper's Section 7
 //! "uniformity of work per GetNext" caveat: the hit/miss/eviction
@@ -21,13 +33,39 @@
 
 use crate::page::PAGE_SIZE;
 use crate::pager::{PageId, Pager, PagerError};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 type Key = (u64, PageId);
+
+/// Frame keys are small integers this process assigns, never chosen by
+/// an adversary, so a multiply-rotate hash (FxHash's) serves them in a
+/// fraction of SipHash's time — on the path every page access takes,
+/// twice (pin and unpin).
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FrameMap = HashMap<Key, Frame, BuildHasherDefault<KeyHasher>>;
 type EvictHook = Arc<dyn Fn(u64, PageId) + Send + Sync>;
 
 struct Frame {
@@ -37,7 +75,8 @@ struct Frame {
     pager: Arc<Pager>,
     dirty: bool,
     pins: usize,
-    /// LRU clock: larger = more recently used.
+    /// LRU clock: larger = more recently used. The frame's live
+    /// recency-queue entry carries this tick.
     tick: u64,
 }
 
@@ -51,8 +90,53 @@ impl Frame {
 
 #[derive(Default)]
 struct Inner {
-    frames: HashMap<Key, Frame>,
+    frames: FrameMap,
     tick: u64,
+    /// `(tick, key)` per touch, in tick order; see the module docs.
+    recency: VecDeque<(u64, Key)>,
+}
+
+impl Inner {
+    /// Stamps `key`'s frame as most recently used and returns it.
+    fn touch(&mut self, key: Key) -> Option<&mut Frame> {
+        if self.recency.len() >= 8 * self.frames.len().max(8) {
+            let frames = &self.frames;
+            self.recency
+                .retain(|(tick, k)| frames.get(k).is_some_and(|f| f.tick == *tick));
+        }
+        self.tick += 1;
+        let frame = self.frames.get_mut(&key)?;
+        frame.tick = self.tick;
+        self.recency.push_back((self.tick, key));
+        Some(frame)
+    }
+
+    /// Inserts a new frame as the most recently used one.
+    fn insert(&mut self, key: Key, frame: Frame) {
+        self.frames.insert(key, frame);
+        self.touch(key);
+    }
+
+    /// The least recently used unpinned frame's key, with its queue
+    /// entry consumed; pinned frames keep their place.
+    fn pop_victim(&mut self) -> Option<Key> {
+        let mut pinned = Vec::new();
+        let mut victim = None;
+        while let Some((tick, key)) = self.recency.pop_front() {
+            match self.frames.get(&key) {
+                Some(f) if f.tick == tick && f.pins > 0 => pinned.push((tick, key)),
+                Some(f) if f.tick == tick => {
+                    victim = Some(key);
+                    break;
+                }
+                _ => {} // stale: touched again since, or gone
+            }
+        }
+        for entry in pinned.into_iter().rev() {
+            self.recency.push_front(entry);
+        }
+        victim
+    }
 }
 
 /// Counter snapshot for METRICS and experiments.
@@ -84,6 +168,15 @@ pub struct PageRef<'a> {
     pool: &'a BufferPool,
     key: Key,
     data: Arc<[u8; PAGE_SIZE]>,
+}
+
+impl PageRef<'_> {
+    /// The page image, shared rather than copied. It stays valid after
+    /// this pin drops and after the frame is evicted: a frame's image is
+    /// replaced, never written in place.
+    pub fn image(&self) -> Arc<[u8; PAGE_SIZE]> {
+        Arc::clone(&self.data)
+    }
 }
 
 impl Deref for PageRef<'_> {
@@ -190,10 +283,7 @@ impl BufferPool {
         let key = (pager.tag(), id);
         {
             let mut inner = self.inner.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(frame) = inner.frames.get_mut(&key) {
-                frame.tick = tick;
+            if let Some(frame) = inner.touch(key) {
                 frame.pins += 1;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(PageRef {
@@ -210,23 +300,20 @@ impl BufferPool {
         if penalty > 0 {
             std::thread::sleep(Duration::from_nanos(penalty));
         }
-        let mut buf = [0u8; PAGE_SIZE];
-        pager.read_page(id, &mut buf)?;
-        let data = Arc::new(buf);
+        // Read straight into the frame's allocation: no 4 KiB copy.
+        let mut data = Arc::new([0u8; PAGE_SIZE]);
+        pager.read_page(id, Arc::get_mut(&mut data).expect("fresh Arc is unique"))?;
 
         let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let data = match inner.frames.get_mut(&key) {
+        let data = match inner.touch(key) {
             // Another thread loaded it while we read: share its frame
             // (both paid a miss — both really did the work).
             Some(frame) => {
-                frame.tick = tick;
                 frame.pins += 1;
                 Arc::clone(&frame.data)
             }
             None => {
-                inner.frames.insert(
+                inner.insert(
                     key,
                     Frame {
                         id,
@@ -234,7 +321,7 @@ impl BufferPool {
                         pager: Arc::clone(pager),
                         dirty: false,
                         pins: 1,
-                        tick,
+                        tick: 0,
                     },
                 );
                 data
@@ -257,16 +344,13 @@ impl BufferPool {
     pub fn write(&self, pager: &Arc<Pager>, id: PageId, image: [u8; PAGE_SIZE]) {
         let key = (pager.tag(), id);
         let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.frames.get_mut(&key) {
+        match inner.touch(key) {
             Some(frame) => {
                 frame.data = Arc::new(image);
                 frame.dirty = true;
-                frame.tick = tick;
             }
             None => {
-                inner.frames.insert(
+                inner.insert(
                     key,
                     Frame {
                         id,
@@ -274,7 +358,7 @@ impl BufferPool {
                         pager: Arc::clone(pager),
                         dirty: true,
                         pins: 0,
-                        tick,
+                        tick: 0,
                     },
                 );
             }
@@ -324,13 +408,7 @@ impl BufferPool {
         let capacity = self.capacity();
         let mut evicted = Vec::new();
         while inner.frames.len() > capacity {
-            let victim = inner
-                .frames
-                .iter()
-                .filter(|(_, f)| f.pins == 0)
-                .min_by_key(|(_, f)| f.tick)
-                .map(|(k, _)| *k);
-            let Some(key) = victim else {
+            let Some(key) = inner.pop_victim() else {
                 break; // everything pinned: run over capacity rather than deadlock
             };
             let frame = inner.frames.get_mut(&key).unwrap();
@@ -408,6 +486,58 @@ mod tests {
         pool.get(&pager, 2).unwrap(); // evicted: must miss
         assert_eq!(pool.stats().misses, before + 1);
         assert!(pool.stats().evictions >= 2);
+
+        // A page touched many times leaves stale recency entries (and
+        // forces compactions); only its last touch counts.
+        let pool = BufferPool::new(2);
+        let evicted = record_evictions(&pool);
+        pool.get(&pager, 1).unwrap();
+        pool.get(&pager, 2).unwrap();
+        for _ in 0..200 {
+            pool.get(&pager, 1).unwrap();
+        }
+        pool.get(&pager, 2).unwrap(); // 1 is now the LRU page
+        pool.get(&pager, 3).unwrap();
+        assert_eq!(*evicted.lock().unwrap(), vec![1]);
+        pool.get(&pager, 1).unwrap(); // 2 is LRU now, then 3
+        assert_eq!(*evicted.lock().unwrap(), vec![1, 2]);
+
+        // A pinned frame at the LRU end keeps its place: the next
+        // unpinned frame goes instead, and the pinned one is the first
+        // victim once its pin drops.
+        let pool = BufferPool::new(2);
+        let evicted = record_evictions(&pool);
+        let pinned = pool.get(&pager, 1).unwrap();
+        pool.get(&pager, 2).unwrap();
+        pool.get(&pager, 3).unwrap(); // 1 is LRU but pinned: 2 goes
+        assert_eq!(*evicted.lock().unwrap(), vec![2]);
+        pool.get(&pager, 4).unwrap(); // still pinned: 3 goes
+        assert_eq!(*evicted.lock().unwrap(), vec![2, 3]);
+        drop(pinned);
+        pool.get(&pager, 2).unwrap(); // 1 is still the LRU frame
+        assert_eq!(*evicted.lock().unwrap(), vec![2, 3, 1]);
+    }
+
+    fn record_evictions(pool: &BufferPool) -> Arc<Mutex<Vec<PageId>>> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        pool.set_on_evict(Some(Arc::new(move |_, id| sink.lock().unwrap().push(id))));
+        seen
+    }
+
+    #[test]
+    fn shrinking_capacity_evicts_in_lru_order() {
+        let pager = pager_with_pages("shrink-order.qpt", 4);
+        let pool = BufferPool::new(4);
+        for id in [1u64, 2, 3, 4, 2, 1] {
+            pool.get(&pager, id).unwrap();
+        }
+        let evicted = record_evictions(&pool);
+        pool.set_capacity(1);
+        assert_eq!(*evicted.lock().unwrap(), vec![3, 4, 2]);
+        let before = pool.stats().misses;
+        pool.get(&pager, 1).unwrap();
+        assert_eq!(pool.stats().misses, before, "the MRU page survives");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! recovery replays the page images — full-page redo is idempotent, so
 //! crashing *during* recovery and recovering again is also safe.
 //!
-//! Every record carries an FNV-1a checksum, so a torn final page (the
+//! Every record carries a word-wise FNV checksum, so a torn final page (the
 //! classic power-cut artifact) reads as "no commit" rather than as
 //! garbage applied to the data file.
 //!
@@ -28,7 +28,7 @@
 //! The crash-recovery matrix in the workspace tests replays every point
 //! and compares post-recovery files byte-for-byte against clean runs.
 
-use crate::checksum::{fnv1a, stamp_page};
+use crate::checksum::{fnv_lanes, stamp_page};
 use crate::page::PAGE_SIZE;
 use crate::pager::{PageId, PagerError};
 use std::fs::{File, OpenOptions};
@@ -167,7 +167,7 @@ impl Wal {
                             .try_into()
                             .unwrap(),
                     );
-                    if fnv1a(body) != sum {
+                    if fnv_lanes(body) != sum {
                         break; // torn page record: discard the tail
                     }
                     let id = u64::from_le_bytes(body[1..9].try_into().unwrap());
@@ -178,7 +178,7 @@ impl Wal {
                     let body = &raw[pos..pos + 9];
                     let sum = u64::from_le_bytes(raw[pos + 9..pos + 17].try_into().unwrap());
                     let count = u64::from_le_bytes(body[1..9].try_into().unwrap());
-                    if fnv1a(body) != sum || count != pending.len() as u64 {
+                    if fnv_lanes(body) != sum || count != pending.len() as u64 {
                         break; // torn or inconsistent commit: discard
                     }
                     committed.append(&mut pending);
@@ -259,7 +259,7 @@ impl WalTxn<'_> {
             rec.push(REC_PAGE);
             rec.extend_from_slice(&id.to_le_bytes());
             rec.extend_from_slice(&image[..]);
-            let sum = fnv1a(&rec);
+            let sum = fnv_lanes(&rec);
             rec.extend_from_slice(&sum.to_le_bytes());
             if crash == Some(CrashPoint::TornWal) && i == self.pages.len() - 1 {
                 // The final record tears in half mid-write.
@@ -282,7 +282,7 @@ impl WalTxn<'_> {
         let mut rec = Vec::with_capacity(17);
         rec.push(REC_COMMIT);
         rec.extend_from_slice(&(self.pages.len() as u64).to_le_bytes());
-        let sum = fnv1a(&rec);
+        let sum = fnv_lanes(&rec);
         rec.extend_from_slice(&sum.to_le_bytes());
         wal_file.write_all(&rec)?;
         written += rec.len() as u64;
@@ -440,6 +440,26 @@ mod tests {
         std::fs::write(&walp, &wal_bytes).unwrap();
         assert!(wal.recover(&data).unwrap(), "replaying again is safe");
         assert_eq!(read_page_at(&data, 0), stamped(0x77));
+    }
+
+    #[test]
+    fn a_flipped_tail_byte_of_a_page_record_is_not_replayed() {
+        let data = tmp("tailflip.qpt");
+        let walp = tmp("tailflip.wal");
+        let _ = std::fs::remove_file(&data);
+        let wal = Wal::new(&walp);
+        let mut txn = wal.begin();
+        txn.log_page(0, &page(0x5A));
+        assert!(txn.commit(&data, Some(CrashPoint::AfterCommit)).is_err());
+        // The page record's last image byte sits past its last 32-byte
+        // block (the record is 4,105 bytes before its checksum).
+        let mut bytes = std::fs::read(&walp).unwrap();
+        bytes[1 + 8 + PAGE_SIZE - 1] ^= 0x01;
+        std::fs::write(&walp, &bytes).unwrap();
+        assert!(
+            !wal.recover(&data).unwrap(),
+            "corrupt record must not replay"
+        );
     }
 
     #[test]

@@ -21,13 +21,15 @@
 //! * a [`Database`] catalog tying tables, indexes and their metadata
 //!   together, and
 //! * a [`sharedscan::ScanShare`] registry letting concurrent full-table
-//!   scans attach to one in-flight producer (N identical scans ≈ 1
-//!   physical pass) while each attacher still observes the exact solo
+//!   scans attach to one in-flight producer (N overlapping scans read
+//!   the overlap once) while each attacher still observes the exact solo
 //!   row sequence — the paper's per-session getnext accounting intact.
 //!
 //! Tables come in two backends behind one interface: in-memory heaps
 //! (the default) and **paged** tables whose rows live in slotted page
 //! files read through a shared `qp-pager` buffer pool (see [`paged`]).
+//! [`Table::read_chunk`] reads a run of rows at once — on a paged table
+//! by pinning each covering page once — which is how shared scans read.
 //! Query results are byte-identical across backends; only the *cost* of
 //! a row read differs — which is the paper's Section 7 "uniformity of
 //! work per GetNext" caveat, finally measurable.
@@ -52,5 +54,5 @@ pub use qp_pager::{BufferPool, CrashPoint, PoolStats};
 pub use row::Row;
 pub use schema::{Column, ColumnType, Schema};
 pub use sharedscan::{ScanShare, ScanShareStats, SharedCursor};
-pub use table::{RowId, Table};
+pub use table::{Chunk, RowId, Table};
 pub use value::Value;

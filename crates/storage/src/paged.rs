@@ -475,6 +475,49 @@ mod tests {
     }
 
     #[test]
+    fn read_chunk_matches_row_on_both_backends() {
+        let dir = tmp("chunks");
+        let db = sample_db(500);
+        save_database(&db, &dir).unwrap();
+        let paged = open_database(&dir, 2).unwrap();
+        let disk = paged.table("t").unwrap();
+        let heap = db.table("t").unwrap();
+        let per_page = disk.page_rows().unwrap();
+        assert!(per_page > 2 && 500 > 3 * per_page);
+        let ranges = [
+            0..per_page,                    // exactly one page
+            1..per_page - 1,                // inside one page
+            per_page / 2..per_page + 1,     // mid-page across a boundary
+            per_page - 1..3 * per_page + 1, // spans several pages
+            2 * per_page..500,              // page start to the last row
+            500 - per_page / 2..500,        // mid-page to the last row
+            499..500,                       // the last row alone
+            7..7,                           // empty
+        ];
+        for table in [&disk, &heap] {
+            for rids in ranges.clone() {
+                let chunk = table.read_chunk(rids.clone());
+                assert_eq!(chunk.len(), (rids.end - rids.start) as usize);
+                for (i, rid) in rids.clone().enumerate() {
+                    assert_eq!(chunk.row(i), table.row(rid), "{rids:?} rid {rid}");
+                }
+            }
+        }
+        // A paged chunk pins each covering page once: four pages here.
+        let pool = paged.buffer_pool().unwrap();
+        pool.reset_stats();
+        let chunk = disk.read_chunk(per_page - 1..3 * per_page + 1);
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, 4, "{s:?}");
+        // Its images outlive the frames: evict them all, then decode.
+        pool.set_capacity(1);
+        for i in 0..chunk.len() {
+            assert_eq!(chunk.row(i), heap.row(per_page - 1 + i as u64));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn tiny_pool_thrashes_but_stays_correct() {
         let dir = tmp("thrash");
         let db = sample_db(500);

@@ -1,10 +1,10 @@
 //! Shared-scan reuse: concurrent full-table scans attach to one
-//! in-flight row producer instead of each paying their own pass over
+//! in-flight chunk producer instead of each paying their own pass over
 //! the base data.
 //!
 //! The circulating-scan idea (one disk arm, many consumers) is standard
 //! in shared-work systems; here it matters because the service front
-//! end now multiplexes thousands of sessions, and a popular table would
+//! end multiplexes thousands of sessions, and a popular table would
 //! otherwise be re-read once per session — on the paged backend, once
 //! *per disk pass*. The contract that makes sharing admissible in this
 //! codebase is stricter than mere result equality, though: the paper's
@@ -18,33 +18,39 @@
 //! * A [`ScanShare`] registry maps a live table (by `Arc` identity) to
 //!   its current [`ScanGroup`] — one *epoch* of sharing. Attaching
 //!   yields a [`SharedCursor`]; dropping the cursor detaches, and the
-//!   epoch ends (its entry is removed, its cache freed) when the last
-//!   attacher leaves. The next scan of that table starts a fresh epoch.
-//! * The group materializes the table once, chunk by chunk, on demand:
-//!   whichever cursor first needs chunk `i` produces it (a short burst
-//!   of `Table::row` reads) under the group's production lock and
-//!   publishes it as an `Arc<[Row]>` chunk every attacher replays.
-//!   Physical reads happen once per epoch — N identical scans cost ~1
-//!   pass — while every cursor logically sees the full insertion-order
-//!   sequence from row 0, regardless of when it attached.
-//! * Late attachers replay already-produced chunks from the cache and
-//!   only wait (briefly, on the production lock) at the frontier. A
-//!   cursor dropped mid-scan — a cancelled session — just decrements
-//!   the attach count; production continues only as long as someone
-//!   still needs rows.
+//!   epoch ends (its entry is removed) when the last attacher leaves.
+//!   The next scan of that table starts a fresh epoch.
+//! * The group reads the table chunk by chunk, on demand: whichever
+//!   cursor first needs chunk `i` reads it with [`Table::read_chunk`]
+//!   under the group's production lock and publishes it for every
+//!   attacher to replay. A paged chunk is the images of the pages it
+//!   covers, each pinned once; rows are decoded as they are served.
+//!   Every cursor logically sees the full insertion-order sequence from
+//!   row 0, regardless of when it attached.
+//! * The group keeps **a window between the slowest and fastest
+//!   cursor**, not the epoch: it records which chunk each attached
+//!   cursor is reading (chunk 0 until its first read), and drops a chunk
+//!   once every attached cursor is past it — on each read and on each
+//!   detach. N overlapping scans read the overlap once. A cursor that
+//!   needs a chunk already dropped — a late attacher replaying the
+//!   prefix, or a re-opened scan — reads it again, and
+//!   [`ScanShareStats::rows_produced`] counts the re-read.
+//! * A cursor dropped mid-scan — a cancelled session — just detaches;
+//!   production continues only as long as someone still needs rows.
 //!
-//! Memory is bounded by the epoch lifecycle: a group caches at most one
-//! table's rows, and only while at least one scan is in flight.
+//! Memory is bounded by the spread of the attached cursors: a solo scan
+//! holds one chunk at a time.
 
 use crate::row::Row;
-use crate::table::{RowId, Table};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::table::{Chunk, RowId, Table};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Rows per produced chunk. Purely a producer granularity / lock-hold
-/// knob: replay order is row-by-row, so the chunk size is invisible to
-/// attachers (and to counters).
+/// Rows per produced chunk (rounded up to whole pages on a paged
+/// table, so no page is pinned by two chunks). Purely a producer
+/// granularity / lock-hold knob: replay order is row-by-row, so the
+/// chunk size is invisible to attachers (and to counters).
 const CHUNK_ROWS: usize = 1024;
 
 /// Monotone counters describing sharing effectiveness, exposed over the
@@ -53,67 +59,113 @@ const CHUNK_ROWS: usize = 1024;
 pub struct ScanShareStats {
     /// Cursors handed out (one per attaching scan).
     pub attaches: AtomicU64,
-    /// Attaches that joined an epoch already in flight — each one is a
-    /// table pass avoided.
+    /// Attaches that joined an epoch already in flight.
     pub shared_attaches: AtomicU64,
     /// Epochs started (groups created).
     pub groups: AtomicU64,
-    /// Rows physically read from tables by producers.
+    /// Rows read from tables by producers, re-reads of dropped chunks
+    /// included.
     pub rows_produced: AtomicU64,
     /// Rows replayed to cursors (≥ `rows_produced` whenever sharing
     /// actually deduplicated work).
     pub rows_served: AtomicU64,
 }
 
-/// One epoch of shared scanning over one table: the chunk cache, the
-/// production frontier, and the attach count that scopes its lifetime.
+/// The chunks an epoch still holds, and where its cursors are.
+#[derive(Debug, Default)]
+struct Window {
+    /// Produced chunks that some attached cursor has not yet passed.
+    chunks: BTreeMap<usize, Arc<Chunk>>,
+    /// The chunk each attached cursor is reading, by cursor id.
+    readers: HashMap<u64, usize>,
+    next_reader: u64,
+}
+
+impl Window {
+    /// Drops every chunk all attached cursors are past.
+    fn trim(&mut self) {
+        match self.readers.values().min() {
+            Some(&slowest) => self.chunks.retain(|&index, _| index >= slowest),
+            None => self.chunks.clear(),
+        }
+    }
+}
+
+/// One epoch of shared scanning over one table: the chunk window, whose
+/// readers scope the epoch's lifetime, and the production lock.
 #[derive(Debug)]
 pub struct ScanGroup {
     table: Arc<Table>,
     /// Total rows this epoch serves (latched at creation; tables are
     /// frozen, so this equals `table.len()` for the epoch's lifetime).
     len: usize,
-    /// Produced chunks, in order. The `Mutex` is also the production
-    /// lock: whoever holds it and finds the needed chunk missing reads
-    /// it from the table, so exactly one attacher performs each
-    /// physical read burst.
-    chunks: Mutex<Vec<Arc<[Row]>>>,
-    attachers: AtomicUsize,
+    chunk_rows: usize,
+    /// The `Mutex` is also the production lock: whoever holds it and
+    /// finds the needed chunk missing reads it from the table, so
+    /// exactly one attacher performs each physical read burst.
+    window: Mutex<Window>,
 }
 
 impl ScanGroup {
     fn new(table: Arc<Table>) -> ScanGroup {
-        let len = table.len();
+        let chunk_rows = match table.page_rows() {
+            Some(per_page) => (CHUNK_ROWS as u64).div_ceil(per_page) as usize * per_page as usize,
+            None => CHUNK_ROWS,
+        };
         ScanGroup {
+            len: table.len(),
             table,
-            len,
-            chunks: Mutex::new(Vec::new()),
-            attachers: AtomicUsize::new(0),
+            chunk_rows,
+            window: Mutex::new(Window::default()),
         }
     }
 
-    /// The chunk containing row `index * CHUNK_ROWS`, producing it (and
-    /// any earlier unproduced chunks) from the table if this cursor is
-    /// first past the frontier.
-    fn chunk(&self, index: usize, stats: &ScanShareStats) -> Arc<[Row]> {
-        let mut chunks = match self.chunks.lock() {
-            Ok(g) => g,
-            // A poisoning panic can only have happened mid-`Vec::push`;
-            // the produced prefix is still coherent, so keep serving.
-            Err(poisoned) => poisoned.into_inner(),
+    fn window(&self) -> MutexGuard<'_, Window> {
+        // A panic while holding the lock (a failed page read) leaves the
+        // window coherent: chunks are inserted only once fully read.
+        self.window
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Registers a new cursor at chunk 0 and returns its id.
+    fn join(&self) -> u64 {
+        let mut window = self.window();
+        let id = window.next_reader;
+        window.next_reader += 1;
+        window.readers.insert(id, 0);
+        id
+    }
+
+    /// Unregisters cursor `reader`, dropping chunks only it still held.
+    /// Returns whether it was the last cursor.
+    fn leave(&self, reader: u64) -> bool {
+        let mut window = self.window();
+        window.readers.remove(&reader);
+        window.trim();
+        window.readers.is_empty()
+    }
+
+    /// Chunk `index` for cursor `reader`, reading it from the table if
+    /// it is not in the window; moves the cursor to it.
+    fn chunk(&self, reader: u64, index: usize, stats: &ScanShareStats) -> Arc<Chunk> {
+        let mut window = self.window();
+        window.readers.insert(reader, index);
+        let chunk = match window.chunks.get(&index) {
+            Some(chunk) => Arc::clone(chunk),
+            None => {
+                let start = index * self.chunk_rows;
+                let end = (start + self.chunk_rows).min(self.len);
+                let chunk = Arc::new(self.table.read_chunk(start as RowId..end as RowId));
+                stats
+                    .rows_produced
+                    .fetch_add((end - start) as u64, Ordering::Relaxed);
+                window.chunks.insert(index, Arc::clone(&chunk));
+                chunk
+            }
         };
-        while chunks.len() <= index {
-            let start = chunks.len() * CHUNK_ROWS;
-            let end = (start + CHUNK_ROWS).min(self.len);
-            let rows: Vec<Row> = (start..end)
-                .map(|rid| self.table.row(rid as RowId))
-                .collect();
-            stats
-                .rows_produced
-                .fetch_add((end - start) as u64, Ordering::Relaxed);
-            chunks.push(rows.into());
-        }
-        Arc::clone(&chunks[index])
+        window.trim();
+        chunk
     }
 }
 
@@ -163,12 +215,15 @@ impl ScanShare {
                 group
             }
         };
-        group.attachers.fetch_add(1, Ordering::Relaxed);
+        // Joined under the registry lock, where `retire` re-checks for
+        // readers: a concurrent last detach cannot retire this epoch.
+        let reader = group.join();
         drop(groups);
         SharedCursor {
             share: Arc::clone(self),
             group,
             key,
+            reader,
             pos: 0,
             chunk: None,
             chunk_index: 0,
@@ -176,14 +231,15 @@ impl ScanShare {
     }
 
     /// Ends `group`'s epoch if it is still the registered one (a fresh
-    /// epoch for the same table must not be evicted by a stale detach).
+    /// epoch for the same table must not be evicted by a stale detach)
+    /// and no cursor has joined it since its last reader left.
     fn retire(&self, key: usize, group: &Arc<ScanGroup>) {
         let mut groups = match self.groups.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
         if let Some(current) = groups.get(&key) {
-            if Arc::ptr_eq(current, group) {
+            if Arc::ptr_eq(current, group) && group.window().readers.is_empty() {
                 groups.remove(&key);
             }
         }
@@ -197,10 +253,12 @@ pub struct SharedCursor {
     share: Arc<ScanShare>,
     group: Arc<ScanGroup>,
     key: usize,
+    /// This cursor's id in the group's window.
+    reader: u64,
     /// Next row index to serve, in `[0, group.len]`.
     pos: usize,
-    /// Cached current chunk (avoids a registry lock per row).
-    chunk: Option<Arc<[Row]>>,
+    /// Current chunk (avoids the production lock per row).
+    chunk: Option<Arc<Chunk>>,
     chunk_index: usize,
 }
 
@@ -221,6 +279,12 @@ impl SharedCursor {
     pub fn is_empty(&self) -> bool {
         self.group.len == 0
     }
+
+    /// Chunks the group's window holds right now.
+    #[cfg(test)]
+    fn resident_chunks(&self) -> usize {
+        self.group.window().chunks.len()
+    }
 }
 
 impl Iterator for SharedCursor {
@@ -231,12 +295,17 @@ impl Iterator for SharedCursor {
         if self.pos >= self.group.len {
             return None;
         }
-        let index = self.pos / CHUNK_ROWS;
+        let rows = self.group.chunk_rows;
+        let index = self.pos / rows;
         if self.chunk.is_none() || self.chunk_index != index {
-            self.chunk = Some(self.group.chunk(index, &self.share.stats));
+            self.chunk = Some(self.group.chunk(self.reader, index, &self.share.stats));
             self.chunk_index = index;
         }
-        let row = self.chunk.as_ref().expect("chunk just installed")[self.pos % CHUNK_ROWS].clone();
+        let row = self
+            .chunk
+            .as_ref()
+            .expect("chunk just installed")
+            .row(self.pos % rows);
         self.pos += 1;
         self.share.stats.rows_served.fetch_add(1, Ordering::Relaxed);
         Some(row)
@@ -245,7 +314,7 @@ impl Iterator for SharedCursor {
 
 impl Drop for SharedCursor {
     fn drop(&mut self) {
-        if self.group.attachers.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if self.group.leave(self.reader) {
             self.share.retire(self.key, &self.group);
         }
     }
@@ -342,6 +411,46 @@ mod tests {
         assert_eq!(drain(cursor), direct);
         // The replay cost no second physical pass.
         assert_eq!(share.stats().rows_produced.load(Ordering::Relaxed), 50);
+    }
+
+    #[test]
+    fn a_solo_cursor_holds_a_window_not_the_table() {
+        let t = table(5 * CHUNK_ROWS + 100);
+        let share = Arc::new(ScanShare::new());
+        let mut cursor = share.attach(&t);
+        let mut rows = Vec::new();
+        while let Some(row) = cursor.next() {
+            rows.push(row);
+            assert!(cursor.resident_chunks() <= 2, "row {}", rows.len());
+        }
+        let direct: Vec<Row> = (0..t.len()).map(|rid| t.row(rid as RowId)).collect();
+        assert_eq!(rows, direct);
+        assert_eq!(
+            share.stats().rows_produced.load(Ordering::Relaxed),
+            t.len() as u64
+        );
+    }
+
+    #[test]
+    fn a_late_attacher_rereads_the_dropped_prefix() {
+        let t = table(5000);
+        let share = Arc::new(ScanShare::new());
+        let direct: Vec<Row> = (0..t.len()).map(|rid| t.row(rid as RowId)).collect();
+        let mut leader = share.attach(&t);
+        let lead = 3 * CHUNK_ROWS + 10;
+        let mut leader_rows: Vec<Row> = leader.by_ref().take(lead).collect();
+        // The leader is in chunk 3; chunks 0..3 are gone.
+        assert_eq!(leader.resident_chunks(), 1);
+        let late = share.attach(&t);
+        assert_eq!(share.stats().shared_attaches.load(Ordering::Relaxed), 1);
+        assert_eq!(drain(late), direct);
+        leader_rows.extend(leader.by_ref());
+        assert_eq!(leader_rows, direct);
+        let prefix = 3 * CHUNK_ROWS as u64;
+        assert_eq!(
+            share.stats().rows_produced.load(Ordering::Relaxed),
+            t.len() as u64 + prefix
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@ use crate::error::{StorageError, StorageResult};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
-use qp_pager::{read_cell, BufferPool, PageId, Pager};
+use qp_pager::{read_cell, BufferPool, PageId, PageRef, Pager, PAGE_SIZE};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Position of a row within its table's heap. Stable: this engine is
@@ -59,16 +60,119 @@ pub(crate) struct PagedRows {
 }
 
 impl PagedRows {
-    fn row(&self, rid: u64) -> Row {
-        let page = self.first_data_page + rid / self.rows_per_page;
-        let slot = (rid % self.rows_per_page) as usize;
-        let frame = self
-            .pool
+    /// The page and slot holding row `rid`.
+    fn locate(&self, rid: RowId) -> (PageId, usize) {
+        (
+            self.first_data_page + rid / self.rows_per_page,
+            (rid % self.rows_per_page) as usize,
+        )
+    }
+
+    fn pin(&self, page: PageId) -> PageRef<'_> {
+        self.pool
             .get(&self.pager, page)
-            .unwrap_or_else(|e| panic!("paged read of page {page}: {e}"));
-        let cell = read_cell(&frame, slot)
-            .unwrap_or_else(|| panic!("row {rid}: no cell {slot} in page {page}"));
-        decode_row(cell).unwrap_or_else(|e| panic!("row {rid}: {e}"))
+            .unwrap_or_else(|e| panic!("paged read of page {page}: {e}"))
+    }
+
+    fn row(&self, rid: RowId) -> Row {
+        let (page, slot) = self.locate(rid);
+        decode_slot(&self.pin(page), page, slot)
+    }
+
+    /// Pins each page covering `rids` once and keeps its image.
+    fn read_chunk(&self, rids: Range<RowId>) -> Chunk {
+        let (first_page, first_slot) = self.locate(rids.start);
+        let len = rids.end.saturating_sub(rids.start);
+        let page_count = match len {
+            0 => 0,
+            _ => (first_slot as u64 + len).div_ceil(self.rows_per_page),
+        };
+        Chunk(ChunkRows::Paged {
+            pages: (first_page..first_page + page_count)
+                .map(|page| self.pin(page).image())
+                .collect(),
+            first_page,
+            first_slot,
+            rows_per_page: self.rows_per_page as usize,
+            len: len as usize,
+        })
+    }
+}
+
+/// Decodes the row in `slot` of a page image (`page` names it in the
+/// panic message). Paged tables are bulk-loaded and read-only, so an
+/// image stays valid however long it is held.
+fn decode_slot(image: &[u8; PAGE_SIZE], page: PageId, slot: usize) -> Row {
+    let cell =
+        read_cell(image, slot).unwrap_or_else(|| panic!("page {page}: no cell in slot {slot}"));
+    decode_row(cell).unwrap_or_else(|e| panic!("page {page} slot {slot}: {e}"))
+}
+
+/// A run of consecutive rows read by [`Table::read_chunk`]. A heap
+/// chunk holds the rows; a paged chunk holds the images of the pages
+/// that cover the run, each pinned once, and decodes a row only when
+/// [`Chunk::row`] asks for it.
+#[derive(Debug)]
+pub struct Chunk(ChunkRows);
+
+enum ChunkRows {
+    Heap(Arc<[Row]>),
+    Paged {
+        pages: Vec<Arc<[u8; PAGE_SIZE]>>,
+        first_page: PageId,
+        /// Slot of the chunk's first row in `pages[0]`.
+        first_slot: usize,
+        rows_per_page: usize,
+        len: usize,
+    },
+}
+
+impl std::fmt::Debug for ChunkRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChunkRows::Heap(rows) => write!(f, "Heap({} rows)", rows.len()),
+            ChunkRows::Paged { pages, len, .. } => {
+                write!(f, "Paged({len} rows on {} pages)", pages.len())
+            }
+        }
+    }
+}
+
+impl Chunk {
+    /// Rows in the chunk.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            ChunkRows::Heap(rows) => rows.len(),
+            ChunkRows::Paged { len, .. } => *len,
+        }
+    }
+
+    /// Whether the chunk holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The chunk's `i`-th row. Panics if `i >= len()`.
+    pub fn row(&self, i: usize) -> Row {
+        match &self.0 {
+            ChunkRows::Heap(rows) => rows[i].clone(),
+            ChunkRows::Paged {
+                pages,
+                first_page,
+                first_slot,
+                rows_per_page,
+                len,
+            } => {
+                assert!(i < *len, "chunk row {i} of {len}");
+                let at = first_slot + i;
+                let page = at / rows_per_page;
+                decode_slot(
+                    &pages[page],
+                    first_page + page as PageId,
+                    at % rows_per_page,
+                )
+            }
+        }
     }
 }
 
@@ -227,6 +331,25 @@ impl Table {
         match &self.backend {
             Backend::Heap(rows) => rows[rid as usize].clone(),
             Backend::Paged(p) => p.row(rid),
+        }
+    }
+
+    /// Rows `rids` as one [`Chunk`]. A heap chunk copies the rows (an
+    /// `Arc` bump each); a paged chunk pins each covering page once —
+    /// possibly missing to disk — and defers decoding to [`Chunk::row`].
+    /// Panics if the range runs past the table.
+    pub fn read_chunk(&self, rids: Range<RowId>) -> Chunk {
+        assert!(
+            rids.end as usize <= self.len(),
+            "table {}: chunk {rids:?} past {} rows",
+            self.name,
+            self.len()
+        );
+        match &self.backend {
+            Backend::Heap(rows) => Chunk(ChunkRows::Heap(
+                rows[rids.start as usize..rids.end as usize].into(),
+            )),
+            Backend::Paged(p) => p.read_chunk(rids),
         }
     }
 
